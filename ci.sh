@@ -12,6 +12,10 @@ MPC_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q (MPC_THREADS=4)"
 MPC_THREADS=4 cargo test -q --workspace
 
+echo "==> benchmark crate builds and passes its own tests against crates/*"
+# benchmark/ is a workspace of its own, so nothing above compiles it.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

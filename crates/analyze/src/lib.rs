@@ -71,6 +71,9 @@ pub const OBS_DOC_PATH: &str = "docs/OBSERVABILITY.md";
 
 /// Directory names never descended into during the workspace walk.
 const SKIP_DIRS: &[&str] = &[
+    // A crate of its own outside this workspace (`benchmark/Cargo.toml`
+    // has an empty `[workspace]`): a measuring binary, not library code.
+    "benchmark",
     "target",
     ".git",
     "fixtures",

@@ -824,14 +824,16 @@ impl DistributedEngine {
                 if let Some(err) = self.strict_failure(layer, &folded) {
                     return Err(err);
                 }
-                let width = query.var_count();
-                let mut result = Bindings::new((0..narrow::u32_from(width)).collect());
-                for tables in folded.tables.into_iter().flatten() {
-                    for table in tables {
-                        result.rows.extend(table.rows);
-                    }
-                }
-                result.sort_dedup();
+                let result = Bindings::union_sorted(
+                    (0..narrow::u32_from(query.var_count())).collect(),
+                    folded
+                        .tables
+                        .into_iter()
+                        .flatten()
+                        .flatten()
+                        .map(|table| table.rows)
+                        .collect(),
+                );
                 let comm_time = network.transfer_time_seeded(
                     folded.comm_bytes,
                     folded.messages,
@@ -869,18 +871,8 @@ impl DistributedEngine {
                 if let Some(err) = self.strict_failure(layer, &folded) {
                     return Err(err);
                 }
-                let mut merged: Vec<Bindings> = subqueries
-                    .iter()
-                    .map(|sq| Bindings::new(sq.parent_vars.clone()))
-                    .collect();
-                for tables in folded.tables.into_iter().flatten() {
-                    for (j, table) in tables.into_iter().enumerate() {
-                        merged[j].rows.extend(table.rows);
-                    }
-                }
-                for table in &mut merged {
-                    table.sort_dedup();
-                }
+                let mut merged =
+                    union_per_subquery(&subqueries, folded.tables.into_iter().flatten());
                 let comm_time = network.transfer_time_seeded(
                     folded.comm_bytes,
                     folded.messages,
@@ -1095,7 +1087,7 @@ impl DistributedEngine {
         }
         let mut comm_bytes = 0u64;
         let width = query.var_count();
-        let mut result = Bindings::new((0..narrow::u32_from(width)).collect());
+        let mut runs = Vec::with_capacity(per_site.len());
         let mut max_time = Duration::ZERO;
         // Workers never touch the recorder: per-site counters are summed
         // here on the coordinator thread after the join, in site order,
@@ -1108,12 +1100,12 @@ impl DistributedEngine {
             }
             comm_bytes += wire::encoded_len(bindings.len(), width);
             max_time = max_time.max(took);
-            result.rows.extend(bindings.rows);
+            runs.push(bindings.rows);
         }
         if observe {
             record_match_stats(rec, &match_total);
         }
-        result.sort_dedup();
+        let result = Bindings::union_sorted(leaf_vars, runs);
         let messages = self.sites.len() as u64;
         let comm_time = self.network.transfer_time(comm_bytes, messages);
         rec.add("query.comm.bytes", comm_bytes);
@@ -1160,10 +1152,7 @@ impl DistributedEngine {
             }
         });
         let mut max_time = Duration::ZERO;
-        let mut merged: Vec<Bindings> = subqueries
-            .iter()
-            .map(|sq| Bindings::new(sq.parent_vars.clone()))
-            .collect();
+        let mut per_site_tables = Vec::with_capacity(per_site.len());
         // Same merge discipline as `run_everywhere_and_union`: counters
         // are summed post-join in site order, never from worker threads.
         let mut match_total = MatchStats::default();
@@ -1173,16 +1162,12 @@ impl DistributedEngine {
                 merge_match_stats(&mut match_total, mstats);
             }
             max_time = max_time.max(took);
-            for (j, table) in site_tables.into_iter().enumerate() {
-                merged[j].rows.extend(table.rows);
-            }
+            per_site_tables.push(site_tables);
         }
         if observe {
             record_match_stats(rec, &match_total);
         }
-        for table in &mut merged {
-            table.sort_dedup();
-        }
+        let mut merged = union_per_subquery(subqueries, per_site_tables);
         let mut comm_bytes = 0u64;
         if self.semijoin_reduction {
             let stats = semijoin::bloom_reduce(&mut merged);
@@ -1318,6 +1303,27 @@ impl BgpSource for EngineSource<'_> {
         });
         Some(Ok(result))
     }
+}
+
+/// Unions what the sites returned for each subquery — `per_site` yields
+/// one table per subquery, in subquery order — into one table per
+/// subquery over its parent-space columns. Sites return strictly sorted
+/// tables, so this is [`Bindings::union_sorted`] per subquery.
+fn union_per_subquery(
+    subqueries: &[Subquery],
+    per_site: impl IntoIterator<Item = Vec<Bindings>>,
+) -> Vec<Bindings> {
+    let mut runs: Vec<Vec<Vec<Vec<u32>>>> = vec![Vec::new(); subqueries.len()];
+    for tables in per_site {
+        for (into, table) in runs.iter_mut().zip(tables) {
+            into.push(table.rows);
+        }
+    }
+    subqueries
+        .iter()
+        .zip(runs)
+        .map(|(sq, runs)| Bindings::union_sorted(sq.parent_vars.clone(), runs))
+        .collect()
 }
 
 /// Folds one fan-out's pool accounting into `par.*` (`par.threads`, the

@@ -48,6 +48,14 @@ impl RequestSpec {
         }
     }
 
+    /// What `threads: 0` resolves to on this machine (`MPC_THREADS`,
+    /// then the available parallelism — [`mpc_par::resolve_threads`]).
+    /// An environment and cgroup read: a front end that runs several
+    /// requests at once takes it once and divides it among its workers.
+    pub fn auto_threads() -> usize {
+        mpc_par::resolve_threads(None)
+    }
+
     /// Sets the mode.
     #[must_use]
     pub fn mode(mut self, mode: ExecMode) -> Self {

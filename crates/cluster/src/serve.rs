@@ -25,10 +25,10 @@
 //! (pinned by the `serving_*` proptests in this crate). Three rules keep
 //! that contract cheap to trust:
 //!
-//! * misses execute the *canonical* query and store its canonical
-//!   bindings; hits restore the requester's variable numbering via
-//!   [`mpc_sparql::CanonicalQuery::restore_bindings`] — a pure column
-//!   permutation, so no cached row is ever reinterpreted;
+//! * misses execute the *canonical* query and store a copy of its
+//!   canonical bindings; hits restore the requester's variable numbering
+//!   via [`mpc_sparql::CanonicalQuery::restore_bindings`] — a pure
+//!   column permutation, so no cached row is ever reinterpreted;
 //! * requests with an effective fault layer pass straight through to
 //!   [`DistributedEngine::run`], uncached — fault decisions are keyed on
 //!   the engine's query sequence, and a cache hit would desynchronize
@@ -69,10 +69,11 @@ type RawKey = (Vec<TriplePattern>, usize);
 type PlanResultKey = (PlanNode, bool, u64);
 
 /// One cached execution: the canonical bindings plus the stats of the
-/// run that populated the entry.
+/// run that populated the entry. The table is shared, so a hit leaves
+/// the shard lock holding a reference and copies the rows outside it.
 struct CacheEntry {
     stamp: u64,
-    rows: Bindings,
+    rows: Arc<Bindings>,
     stats: ExecutionStats,
 }
 
@@ -121,7 +122,7 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
         }
     }
 
-    fn get(&mut self, key: &K) -> Option<(Bindings, ExecutionStats)> {
+    fn get(&mut self, key: &K) -> Option<(Arc<Bindings>, ExecutionStats)> {
         self.tick += 1;
         let tick = self.tick;
         let Some(entry) = self.entries.get_mut(key) else {
@@ -135,7 +136,7 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
 
     /// Inserts, evicting the least-recently-used entry when full.
     /// Returns true when an eviction happened.
-    fn insert(&mut self, key: K, rows: Bindings, stats: ExecutionStats) -> bool {
+    fn insert(&mut self, key: K, rows: Arc<Bindings>, stats: ExecutionStats) -> bool {
         self.tick += 1;
         let mut evicted = false;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
@@ -459,18 +460,19 @@ impl ServeEngine {
             let hit = shard.lock().get(&key);
             if let Some((rows, stats)) = hit {
                 rec.incr("serve.cache.hit");
-                return Ok(complete_outcome(canon.restore_bindings(&rows), stats));
+                let rows = canon.restore_bindings(Bindings::clone(&rows));
+                return Ok(complete_outcome(rows, stats));
             }
             rec.incr("serve.cache.miss");
         }
         let (partial, stats) = self.inner.run(&canon.query, req)?.into_parts();
         if use_cache {
-            let evicted = shard.lock().insert(key, partial.rows.clone(), stats);
+            let evicted = shard.lock().insert(key, compact_copy(&partial.rows), stats);
             if evicted {
                 rec.incr("serve.cache.evict");
             }
         }
-        Ok(complete_outcome(canon.restore_bindings(&partial.rows), stats))
+        Ok(complete_outcome(canon.restore_bindings(partial.rows), stats))
     }
 
     /// Canonicalization memo lookup (`serve.plan.*`). Keyed by the raw
@@ -526,18 +528,19 @@ impl ServeEngine {
             let hit = shard.lock().get(&key);
             if let Some((rows, stats)) = hit {
                 rec.incr("serve.cache.hit");
-                return Ok(complete_outcome(canon.restore_bindings(&rows), stats));
+                let rows = canon.restore_bindings(Bindings::clone(&rows));
+                return Ok(complete_outcome(rows, stats));
             }
             rec.incr("serve.cache.miss");
         }
         let (partial, stats) = self.inner.run_plan(&canon.plan, req, dict)?.into_parts();
         if use_cache {
-            let evicted = shard.lock().insert(key, partial.rows.clone(), stats);
+            let evicted = shard.lock().insert(key, compact_copy(&partial.rows), stats);
             if evicted {
                 rec.incr("serve.cache.evict");
             }
         }
-        Ok(complete_outcome(canon.restore_bindings(&partial.rows), stats))
+        Ok(complete_outcome(canon.restore_bindings(partial.rows), stats))
     }
 
     /// Plan canonicalization memo lookup (`serve.plan.*`): blanks the
@@ -592,6 +595,15 @@ fn strip_var_names(plan: &ResolvedPlan) -> ResolvedPlan {
     stripped.var_names = vec![String::new(); stripped.var_names.len()];
     strip_node(&mut stripped.root);
     stripped
+}
+
+/// The copy of a freshly computed table that the cache keeps. The
+/// original goes back to the caller: its rows were allocated between the
+/// pipeline's temporaries, so holding *them* would pin those pages after
+/// the temporaries are freed, while a copy made now is laid out together
+/// and sized exactly.
+fn compact_copy(rows: &Bindings) -> Arc<Bindings> {
+    Arc::new(rows.clone())
 }
 
 /// Wraps infallible-path bindings (always complete) into an outcome.

@@ -113,6 +113,9 @@ struct Shared {
     queue: AdmissionQueue<Job>,
     rec: Recorder,
     io_timeout: Option<Duration>,
+    /// Per-site fan-out threads for a query whose frame leaves
+    /// `threads` at 0 — see [`auto_thread_budget`].
+    auto_threads: usize,
     shutdown: AtomicBool,
     accepted: AtomicU64,
     requests: AtomicU64,
@@ -143,6 +146,7 @@ impl Server {
         rec: Recorder,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let workers = cfg.workers.max(1);
         Ok(Server {
             listener,
             shared: Shared {
@@ -151,6 +155,7 @@ impl Server {
                 queue: AdmissionQueue::new(cfg.queue_depth),
                 rec,
                 io_timeout: cfg.io_timeout,
+                auto_threads: auto_thread_budget(RequestSpec::auto_threads(), workers),
                 shutdown: AtomicBool::new(false),
                 accepted: AtomicU64::new(0),
                 requests: AtomicU64::new(0),
@@ -158,7 +163,7 @@ impl Server {
                 rejected: AtomicU64::new(0),
                 updates: AtomicU64::new(0),
             },
-            workers: cfg.workers.max(1),
+            workers,
         })
     }
 
@@ -231,6 +236,24 @@ impl Server {
     }
 }
 
+/// The fan-out threads each of `workers` concurrent queries gets when
+/// the machine offers `machine` in all: the workers already occupy one
+/// core each, so a query fans out only over what is left per worker.
+/// Resolved once at [`Server::bind`] — the machine's parallelism is an
+/// environment and cgroup read, not something to repeat per request.
+fn auto_thread_budget(machine: usize, workers: usize) -> usize {
+    (machine / workers.max(1)).max(1)
+}
+
+/// The fan-out threads of one query: what its frame pins, else the
+/// server's auto budget.
+fn fanout_threads(frame_threads: u16, auto_threads: usize) -> usize {
+    match usize::from(frame_threads) {
+        0 => auto_threads,
+        pinned => pinned,
+    }
+}
+
 fn is_would_block(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
@@ -297,7 +320,7 @@ fn run_query(sh: &Shared, q: &QueryFrame) -> Result<Vec<u8>, String> {
     let req = RequestSpec::default()
         .mode(q.mode)
         .cached(q.cached)
-        .threads(usize::from(q.threads))
+        .threads(fanout_threads(q.threads, sh.auto_threads))
         .to_request(&sh.rec);
     let outcome = serve.serve_plan(&plan, &req, dict).map_err(|e| e.to_string())?;
     let (partial, _stats) = outcome.into_parts();
@@ -518,4 +541,26 @@ fn read_exact_interruptible(
         }
     }
     Ok(Some(()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn auto_budget_divides_the_machine_among_workers() {
+        assert_eq!(auto_thread_budget(8, 2), 4);
+        assert_eq!(auto_thread_budget(8, 3), 2);
+        // Workers at or beyond the core count leave one thread each.
+        assert_eq!(auto_thread_budget(4, 4), 1);
+        assert_eq!(auto_thread_budget(2, 16), 1);
+        assert_eq!(auto_thread_budget(1, 1), 1);
+    }
+
+    #[test]
+    fn a_frame_that_pins_threads_overrides_the_auto_budget() {
+        assert_eq!(fanout_threads(0, 3), 3);
+        assert_eq!(fanout_threads(1, 3), 1);
+        assert_eq!(fanout_threads(4, 1), 4);
+    }
 }

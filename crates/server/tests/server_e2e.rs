@@ -132,6 +132,20 @@ fn round_trip_matches_centralized_reference_and_drains_cleanly() {
             assert_eq!(digest, expected[i], "query {i}, pass {pass}");
         }
     }
+    // The fan-out width never shows in the reply: the server's own
+    // budget (0), one thread and four all give the same bytes, executed
+    // rather than replayed from the cache.
+    for threads in [0, 1, 4] {
+        let opts = RequestOpts {
+            threads,
+            cached: false,
+            ..opts
+        };
+        for (i, q) in QUERIES.iter().enumerate() {
+            let digest = client.query_digest(q, &opts).unwrap();
+            assert_eq!(digest, expected[i], "query {i}, threads {threads}");
+        }
+    }
     // A parse error is an ERROR frame, not a dropped connection.
     let err = client.query_digest("SELECT BOGUS", &opts).unwrap_err();
     assert!(matches!(err, ClientError::Server(_)), "{err}");
@@ -141,8 +155,8 @@ fn round_trip_matches_centralized_reference_and_drains_cleanly() {
 
     shutdown(addr);
     let summary = handle.join().unwrap();
-    assert_eq!(summary.requests, 18);
-    assert_eq!(summary.served, 18, "the parse error still went through a worker");
+    assert_eq!(summary.requests, 42);
+    assert_eq!(summary.served, 42, "the parse error still went through a worker");
     assert_eq!(summary.rejected, 0);
     assert!(summary.accepted >= 2);
     let hits: u64 = summary.shards.iter().map(|s| s.hits).sum();

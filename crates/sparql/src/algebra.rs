@@ -112,6 +112,34 @@ impl Bindings {
         self.sort_dedup();
     }
 
+    /// The set union of strictly sorted runs of rows — what each site
+    /// returns for one (sub)query — as a strictly sorted table over
+    /// `vars`. Rows are moved, never copied, and a row several runs hold
+    /// (a match replicated across partitions) is kept once: the result
+    /// equals concatenating the runs and calling
+    /// [`sort_dedup`](Self::sort_dedup), without comparing rows that one
+    /// run already ordered.
+    pub fn union_sorted(vars: Vec<u32>, mut runs: Vec<Vec<Vec<u32>>>) -> Bindings {
+        debug_assert!(runs.iter().all(|run| run.windows(2).all(|w| w[0] < w[1])));
+        // Merge neighbours pairwise until one run is left: every row is
+        // compared once per round, and there are log2(runs) rounds.
+        while runs.len() > 1 {
+            let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
+            let mut pending = runs.into_iter();
+            while let Some(a) = pending.next() {
+                merged.push(match pending.next() {
+                    Some(b) => merge_sorted(a, b),
+                    None => a,
+                });
+            }
+            runs = merged;
+        }
+        Bindings {
+            vars,
+            rows: runs.pop().unwrap_or_default(),
+        }
+    }
+
     /// Projects onto a subset of variables, deduplicating.
     pub fn project(&self, vars: &[u32]) -> Bindings {
         let cols: Vec<usize> = vars
@@ -126,6 +154,40 @@ impl Bindings {
         out.sort_dedup();
         out
     }
+}
+
+/// Merges two strictly sorted runs into one, dropping rows of `b` that
+/// `a` also holds.
+fn merge_sorted(a: Vec<Vec<u32>>, b: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+    use std::cmp::Ordering;
+    // Disjoint ranges (the common case when sites own disjoint vertex
+    // ranges, or one side is empty) need no row comparisons at all.
+    match (a.last(), b.first()) {
+        (None, _) => return b,
+        (_, None) => return a,
+        (Some(last), Some(first)) if last < first => {
+            let mut out = a;
+            out.extend(b);
+            return out;
+        }
+        _ => {}
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut a = a.into_iter().peekable();
+    let mut b = b.into_iter().peekable();
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        match x.cmp(y) {
+            Ordering::Less => out.extend(a.next()),
+            Ordering::Greater => out.extend(b.next()),
+            Ordering::Equal => {
+                out.extend(a.next());
+                b.next();
+            }
+        }
+    }
+    out.extend(a);
+    out.extend(b);
+    out
 }
 
 fn sorted(v: &[u32]) -> Vec<u32> {
@@ -350,15 +412,23 @@ pub fn bag_union(l: &Bindings, r: &Bindings) -> Bindings {
 
 /// Bag projection: reorders/selects columns without deduplicating.
 /// A requested variable the input does not bind projects to [`UNBOUND`]
-/// (a UNION branch may not bind every projected variable).
-pub fn bag_project(b: &Bindings, vars: &[u32]) -> Bindings {
-    let cols: Vec<Option<usize>> = vars.iter().map(|&v| b.column_of(v)).collect();
-    let mut out = Bindings::new(vars.to_vec());
-    for row in &b.rows {
-        out.rows
-            .push(cols.iter().map(|c| c.map_or(UNBOUND, |i| row[i])).collect());
+/// (a UNION branch may not bind every projected variable). The table is
+/// consumed: one whose columns already are `vars` comes back as it is,
+/// any other has its rows rewritten in place.
+pub fn bag_project(mut b: Bindings, vars: &[u32]) -> Bindings {
+    if b.vars == vars {
+        return b;
     }
-    out
+    let cols: Vec<Option<usize>> = vars.iter().map(|&v| b.column_of(v)).collect();
+    let mut projected: Vec<u32> = Vec::with_capacity(cols.len());
+    for row in &mut b.rows {
+        projected.clear();
+        projected.extend(cols.iter().map(|c| c.map_or(UNBOUND, |i| row[i])));
+        row.clear();
+        row.extend_from_slice(&projected);
+    }
+    b.vars = vars.to_vec();
+    b
 }
 
 /// DISTINCT: removes duplicate rows keeping the **first** occurrence,
@@ -1333,5 +1403,51 @@ mod tests {
         let x = b(&[0], &[]);
         let y = b(&[0], &[&[1]]);
         assert!(hash_join(&x, &y).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The union of strictly sorted runs is what concatenating them
+        /// and `sort_dedup` gives. Cells come from a four-value domain, so
+        /// runs overlap heavily; `width` 0 makes every non-empty run the
+        /// unit table; `replicate` makes every run a copy of the first;
+        /// zero runs, one run and empty runs all occur.
+        #[test]
+        fn union_sorted_equals_extend_then_sort_dedup(
+            width in 0usize..3,
+            raw in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(0u32..4, 2), 0..12),
+                0..6,
+            ),
+            replicate in any::<bool>(),
+        ) {
+            let mut runs: Vec<Vec<Vec<u32>>> = raw
+                .into_iter()
+                .map(|run| {
+                    let mut run: Vec<Vec<u32>> =
+                        run.into_iter().map(|row| row[..width].to_vec()).collect();
+                    run.sort_unstable();
+                    run.dedup();
+                    run
+                })
+                .collect();
+            if replicate {
+                if let Some(first) = runs.first().cloned() {
+                    runs.iter_mut().for_each(|run| run.clone_from(&first));
+                }
+            }
+            let vars: Vec<u32> = (0..narrow::u32_from(width)).collect();
+            let mut expected = Bindings::new(vars.clone());
+            for run in &runs {
+                expected.rows.extend(run.iter().cloned());
+            }
+            expected.sort_dedup();
+            prop_assert_eq!(Bindings::union_sorted(vars, runs), expected);
+        }
     }
 }

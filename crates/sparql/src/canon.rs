@@ -27,7 +27,9 @@
 //! reshuffled patterns within a leaf — become identical [`PlanNode`]
 //! values, which is the serve layer's cache key for non-BGP plans.
 
-use crate::algebra::{Bindings, PlanNode, ResolvedFilter, ResolvedPlan, ROperand};
+use crate::algebra::{
+    bag_project, Bindings, PlanNode, ResolvedFilter, ResolvedPlan, ROperand,
+};
 use crate::query::{QLabel, QNode, Query, TriplePattern};
 use mpc_rdf::{narrow, FxHashMap};
 
@@ -63,9 +65,17 @@ impl CanonicalQuery {
 
     /// Maps bindings produced by running the *canonical* query back into
     /// the original query's variable order, sorted — bit-identical to
-    /// evaluating the original query directly.
-    pub fn restore_bindings(&self, canonical: &Bindings) -> Bindings {
-        let mut out = canonical.project(&self.var_map);
+    /// evaluating the original query directly. The table is consumed: a
+    /// labeling that kept the original numbering hands the rows back
+    /// untouched, any other permutes each row in place and re-sorts.
+    pub fn restore_bindings(&self, canonical: Bindings) -> Bindings {
+        let relabeled = self.var_map != canonical.vars;
+        let mut out = bag_project(canonical, &self.var_map);
+        if relabeled {
+            // A bijection on columns keeps rows distinct; only their
+            // order changes.
+            out.rows.sort_unstable();
+        }
         out.vars = (0..narrow::u32_from(out.vars.len())).collect();
         out
     }
@@ -236,12 +246,14 @@ pub struct CanonicalPlan {
 
 impl CanonicalPlan {
     /// Maps bindings produced by evaluating the *canonical* plan back
-    /// into the original plan's variable labels. Rows carry over
-    /// unchanged (see the pointwise-correspondence note on the type).
-    pub fn restore_bindings(&self, canonical: &Bindings) -> Bindings {
-        let mut out = Bindings::new(self.original_out_vars.clone());
-        out.rows = canonical.rows.clone();
-        out
+    /// into the original plan's variable labels. The table is consumed
+    /// and its rows carry over unchanged (see the
+    /// pointwise-correspondence note on the type).
+    pub fn restore_bindings(&self, canonical: Bindings) -> Bindings {
+        Bindings {
+            vars: self.original_out_vars.clone(),
+            rows: canonical.rows,
+        }
     }
 }
 
@@ -508,7 +520,7 @@ mod tests {
         );
         let canon = canonicalize(&query);
         let direct = evaluate(&query, &store);
-        let via_canon = canon.restore_bindings(&evaluate(&canon.query, &store));
+        let via_canon = canon.restore_bindings(evaluate(&canon.query, &store));
         assert_eq!(direct, via_canon);
     }
 
@@ -528,7 +540,7 @@ mod tests {
                 .collect(),
         );
         let direct = evaluate(&query, &store);
-        let via_canon = canon.restore_bindings(&evaluate(&canon.query, &store));
+        let via_canon = canon.restore_bindings(evaluate(&canon.query, &store));
         assert_eq!(direct, via_canon);
     }
 
@@ -648,11 +660,8 @@ mod tests {
                 .expect("resolves");
             let direct = eval_plan_local(&plan, &store, g.dictionary());
             let canon = canonicalize_plan(&plan);
-            let restored = canon.restore_bindings(&eval_plan_local(
-                &canon.plan,
-                &store,
-                g.dictionary(),
-            ));
+            let restored =
+                canon.restore_bindings(eval_plan_local(&canon.plan, &store, g.dictionary()));
             assert_eq!(restored.vars, direct.vars, "columns correspond: {text}");
             let mut a = direct.rows.clone();
             let mut b = restored.rows.clone();
@@ -790,7 +799,7 @@ mod proptests {
         ) {
             let canon = canonicalize(&q);
             let direct = evaluate(&q, &store);
-            let via = canon.restore_bindings(&evaluate(&canon.query, &store));
+            let via = canon.restore_bindings(evaluate(&canon.query, &store));
             prop_assert_eq!(direct, via);
         }
     }

@@ -141,7 +141,7 @@ fn eval_node<S: BgpSource>(
             Ok(b)
         }
         PlanNode::Project(c, vars) => {
-            Ok(bag_project(&eval_node(c, source, dict, prop_vars)?, vars))
+            Ok(bag_project(eval_node(c, source, dict, prop_vars)?, vars))
         }
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! This crate is the "centralized RDF engine" substrate the paper runs at
 //! every site (the authors used gStore): [`store::LocalStore`] answers all
-//! eight triple-pattern access paths via SPO/POS/OSP sorted permutations,
+//! eight triple-pattern access paths via SPO/POS/OSP sorted runs,
 //! and [`matcher::evaluate`] enumerates BGP homomorphisms (Definition 3.6)
 //! with dynamic selectivity-based pattern ordering.
 //!

@@ -25,6 +25,11 @@ use mpc_rdf::narrow;
 /// for the instrumentation. Pass a [`MatchStats`] to
 /// [`evaluate_observed`] to count work instead.
 pub trait MatchObserver {
+    /// False only for the no-op `()`: lets the search skip work whose
+    /// only consumer is an event argument (the candidate count of
+    /// [`pattern_chosen`](Self::pattern_chosen) under a static order).
+    const ACTIVE: bool = true;
+
     /// The search chose `pattern_index` at this node, served by the
     /// index permutation `access_path` (labels shared with
     /// [`crate::explain::access_path_name`]), with `candidates`
@@ -49,7 +54,9 @@ pub trait MatchObserver {
 }
 
 /// The no-op observer used by [`evaluate`].
-impl MatchObserver for () {}
+impl MatchObserver for () {
+    const ACTIVE: bool = false;
+}
 
 /// Counting observer: totals of matcher work, per access path and overall.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -117,17 +124,7 @@ pub fn evaluate_observed(
     store: &LocalStore,
     obs: &mut impl MatchObserver,
 ) -> Bindings {
-    if query.patterns.is_empty() {
-        return Bindings::unit();
-    }
-    let nvars = query.var_count();
-    let mut binding: Vec<Option<u32>> = vec![None; nvars];
-    let mut used = vec![false; query.patterns.len()];
-    let vars: Vec<u32> = (0..narrow::u32_from(nvars)).collect();
-    let mut out = Bindings::new(vars);
-    search(query, store, &mut used, &mut binding, &mut out, obs);
-    out.sort_dedup();
-    out
+    Search::run(query, store, None, obs)
 }
 
 /// Evaluates a BGP following a fixed pattern order — a static plan from
@@ -160,59 +157,111 @@ pub fn evaluate_ordered_observed(
         );
         seen[i] = true;
     }
-    if query.patterns.is_empty() {
-        return Bindings::unit();
-    }
-    let nvars = query.var_count();
-    let mut binding: Vec<Option<u32>> = vec![None; nvars];
-    let vars: Vec<u32> = (0..narrow::u32_from(nvars)).collect();
-    let mut out = Bindings::new(vars);
-    ordered_search(query, store, order, 0, &mut binding, &mut out, obs);
-    out.sort_dedup();
-    out
+    Search::run(query, store, Some(order), obs)
 }
 
-fn ordered_search(
-    query: &Query,
-    store: &LocalStore,
-    order: &[usize],
-    depth: usize,
-    binding: &mut Vec<Option<u32>>,
-    out: &mut Bindings,
-    obs: &mut impl MatchObserver,
-) {
-    let Some(&idx) = order.get(depth) else {
-        let row: Vec<u32> = binding
-            .iter()
-            // mpc-allow: unwrap-expect a full match binds every variable (order covers all patterns)
-            .map(|b| b.expect("all query variables bound at a full match"))
-            .collect();
-        out.push(row);
-        obs.row_emitted();
-        return;
-    };
-    let pat = query.patterns[idx];
-    let resolved = resolve(&pat, binding);
-    let candidates: Vec<Triple> = store.scan(&resolved).collect();
-    obs.pattern_chosen(
-        idx,
-        access_path_name(resolved.s.is_some(), resolved.p.is_some(), resolved.o.is_some()),
-        candidates.len(),
-    );
-    for t in candidates {
-        obs.candidate_scanned();
-        let mut newly_bound: Vec<u32> = Vec::with_capacity(3);
-        if try_bind(&pat.s, t.s.0, binding, &mut newly_bound)
-            && try_bind_label(&pat.p, t.p.0, binding, &mut newly_bound)
-            && try_bind(&pat.o, t.o.0, binding, &mut newly_bound)
-        {
-            ordered_search(query, store, order, depth + 1, binding, out, obs);
-        } else {
-            obs.backtracked();
+/// The backtracking search both strategies share: one frame per matched
+/// pattern, one candidate loop.
+struct Search<'a, O> {
+    query: &'a Query,
+    store: &'a LocalStore,
+    /// The static pattern order, or `None` to pick the unused pattern
+    /// with the fewest candidates at every node.
+    order: Option<&'a [usize]>,
+    used: Vec<bool>,
+    binding: Vec<Option<u32>>,
+    out: Bindings,
+    obs: &'a mut O,
+}
+
+impl<'a, O: MatchObserver> Search<'a, O> {
+    fn run(
+        query: &'a Query,
+        store: &'a LocalStore,
+        order: Option<&'a [usize]>,
+        obs: &'a mut O,
+    ) -> Bindings {
+        if query.patterns.is_empty() {
+            return Bindings::unit();
         }
-        for v in newly_bound {
-            binding[v as usize] = None;
+        let nvars = query.var_count();
+        let mut search = Search {
+            query,
+            store,
+            order,
+            used: vec![false; query.patterns.len()],
+            binding: vec![None; nvars],
+            out: Bindings::new((0..narrow::u32_from(nvars)).collect()),
+            obs,
+        };
+        search.extend(0);
+        search.out.sort_dedup();
+        search.out
+    }
+
+    /// The pattern to match at `depth` and, where choosing it already
+    /// counted them, its candidates; `None` once every pattern is matched.
+    fn next_pattern(&self, depth: usize) -> Option<(usize, Option<usize>)> {
+        if let Some(order) = self.order {
+            return order.get(depth).map(|&idx| (idx, None));
         }
+        // Fewest candidates first. Preferring patterns connected to
+        // already-bound variables falls out naturally: bound positions
+        // shrink the count.
+        let mut next: Option<(usize, usize)> = None;
+        for (i, pat) in self.query.patterns.iter().enumerate() {
+            if self.used[i] {
+                continue;
+            }
+            let count = self.store.count(&resolve(pat, &self.binding));
+            if next.is_none_or(|(_, c)| count < c) {
+                next = Some((i, count));
+            }
+        }
+        next.map(|(idx, count)| (idx, Some(count)))
+    }
+
+    fn extend(&mut self, depth: usize) {
+        let Some((idx, counted)) = self.next_pattern(depth) else {
+            // All patterns matched: emit the row. Every variable must be
+            // bound because each one occurs in some pattern.
+            let row: Vec<u32> = self
+                .binding
+                .iter()
+                // mpc-allow: unwrap-expect every pattern is matched, so every variable is bound
+                .map(|b| b.expect("all query variables bound at a full match"))
+                .collect();
+            self.out.push(row);
+            self.obs.row_emitted();
+            return;
+        };
+        let pat = self.query.patterns[idx];
+        let resolved = resolve(&pat, &self.binding);
+        // `&'a LocalStore` is `Copy`: the scan below borrows the store,
+        // not `self`, so the recursion can take `&mut self`.
+        let store = self.store;
+        if O::ACTIVE {
+            self.obs.pattern_chosen(
+                idx,
+                access_path_name(resolved.s.is_some(), resolved.p.is_some(), resolved.o.is_some()),
+                counted.unwrap_or_else(|| store.count(&resolved)),
+            );
+        }
+        self.used[idx] = true;
+        for t in store.scan(&resolved) {
+            self.obs.candidate_scanned();
+            let mut bound = Bound::default();
+            if try_bind(&pat.s, t.s.0, &mut self.binding, &mut bound)
+                && try_bind_label(&pat.p, t.p.0, &mut self.binding, &mut bound)
+                && try_bind(&pat.o, t.o.0, &mut self.binding, &mut bound)
+            {
+                self.extend(depth + 1);
+            } else {
+                self.obs.backtracked();
+            }
+            bound.undo(&mut self.binding);
+        }
+        self.used[idx] = false;
     }
 }
 
@@ -234,87 +283,35 @@ fn resolve(pat: &crate::query::TriplePattern, binding: &[Option<u32>]) -> Patter
     }
 }
 
-fn search(
-    query: &Query,
-    store: &LocalStore,
-    used: &mut [bool],
-    binding: &mut Vec<Option<u32>>,
-    out: &mut Bindings,
-    obs: &mut impl MatchObserver,
-) {
-    // Pick the unused pattern with the fewest candidates. Preferring
-    // patterns connected to already-bound variables falls out naturally:
-    // bound positions shrink the count.
-    let mut next: Option<(usize, usize)> = None; // (pattern idx, count)
-    for (i, pat) in query.patterns.iter().enumerate() {
-        if used[i] {
-            continue;
-        }
-        let count = store.count(&resolve(pat, binding));
-        if next.is_none_or(|(_, c)| count < c) {
-            next = Some((i, count));
-        }
-    }
-    let Some((idx, count)) = next else {
-        // All patterns matched: emit the row. Every variable must be bound
-        // because each one occurs in some pattern.
-        let row: Vec<u32> = binding
-            .iter()
-            // mpc-allow: unwrap-expect depth == patterns.len() means every variable is bound
-            .map(|b| b.expect("all query variables bound at a full match"))
-            .collect();
-        out.push(row);
-        obs.row_emitted();
-        return;
-    };
+/// The variables one candidate triple bound — at most one per pattern
+/// position — kept on the stack so the search can unbind them.
+#[derive(Default)]
+struct Bound {
+    vars: [u32; 3],
+    len: usize,
+}
 
-    used[idx] = true;
-    let pat = query.patterns[idx];
-    let resolved = resolve(&pat, binding);
-    obs.pattern_chosen(
-        idx,
-        access_path_name(resolved.s.is_some(), resolved.p.is_some(), resolved.o.is_some()),
-        count,
-    );
-    // Materialize candidates: the recursive search below may probe the
-    // store again, so the iterator cannot stay borrowed.
-    let candidates: Vec<Triple> = store.scan(&resolved).collect();
-    for t in candidates {
-        obs.candidate_scanned();
-        let mut newly_bound: Vec<u32> = Vec::with_capacity(3);
-        if try_bind(&pat.s, t.s.0, binding, &mut newly_bound)
-            && try_bind_label(&pat.p, t.p.0, binding, &mut newly_bound)
-            && try_bind(&pat.o, t.o.0, binding, &mut newly_bound)
-        {
-            search(query, store, used, binding, out, obs);
-        } else {
-            obs.backtracked();
-        }
-        for v in newly_bound {
+impl Bound {
+    #[inline]
+    fn push(&mut self, var: u32) {
+        self.vars[self.len] = var;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn undo(&self, binding: &mut [Option<u32>]) {
+        for &v in &self.vars[..self.len] {
             binding[v as usize] = None;
         }
     }
-    used[idx] = false;
 }
 
 /// Binds a vertex position; returns false on conflict.
 #[inline]
-fn try_bind(
-    node: &QNode,
-    value: u32,
-    binding: &mut [Option<u32>],
-    newly: &mut Vec<u32>,
-) -> bool {
+fn try_bind(node: &QNode, value: u32, binding: &mut [Option<u32>], bound: &mut Bound) -> bool {
     match node {
         QNode::Const(c) => c.0 == value,
-        QNode::Var(i) => match binding[*i as usize] {
-            Some(existing) => existing == value,
-            None => {
-                binding[*i as usize] = Some(value);
-                newly.push(*i);
-                true
-            }
-        },
+        QNode::Var(i) => bind_var(*i, value, binding, bound),
     }
 }
 
@@ -324,18 +321,23 @@ fn try_bind_label(
     label: &QLabel,
     value: u32,
     binding: &mut [Option<u32>],
-    newly: &mut Vec<u32>,
+    bound: &mut Bound,
 ) -> bool {
     match label {
         QLabel::Prop(p) => p.0 == value,
-        QLabel::Var(i) => match binding[*i as usize] {
-            Some(existing) => existing == value,
-            None => {
-                binding[*i as usize] = Some(value);
-                newly.push(*i);
-                true
-            }
-        },
+        QLabel::Var(i) => bind_var(*i, value, binding, bound),
+    }
+}
+
+#[inline]
+fn bind_var(var: u32, value: u32, binding: &mut [Option<u32>], bound: &mut Bound) -> bool {
+    match binding[var as usize] {
+        Some(existing) => existing == value,
+        None => {
+            binding[var as usize] = Some(value);
+            bound.push(var);
+            true
+        }
     }
 }
 
@@ -365,16 +367,14 @@ pub fn evaluate_bruteforce(query: &Query, store: &LocalStore) -> Bindings {
         }
         let pat = query.patterns[depth];
         for t in triples {
-            let mut newly = Vec::new();
-            if try_bind(&pat.s, t.s.0, binding, &mut newly)
-                && try_bind_label(&pat.p, t.p.0, binding, &mut newly)
-                && try_bind(&pat.o, t.o.0, binding, &mut newly)
+            let mut bound = Bound::default();
+            if try_bind(&pat.s, t.s.0, binding, &mut bound)
+                && try_bind_label(&pat.p, t.p.0, binding, &mut bound)
+                && try_bind(&pat.o, t.o.0, binding, &mut bound)
             {
                 rec(query, triples, depth + 1, binding, out);
             }
-            for v in newly {
-                binding[v as usize] = None;
-            }
+            bound.undo(binding);
         }
     }
     rec(query, &triples, 0, &mut binding, &mut out);
@@ -616,14 +616,28 @@ mod proptests {
     use crate::query::TriplePattern;
     use proptest::prelude::*;
 
+    /// A small base store with a mutation stream applied and left
+    /// uncompacted, so the search also runs over novelty and tombstones.
     fn store_strategy() -> impl Strategy<Value = LocalStore> {
-        proptest::collection::vec((0u32..6, 0u32..3, 0u32..6), 1..25).prop_map(|v| {
-            LocalStore::new(
-                v.into_iter()
-                    .map(|(s, p, o)| Triple::new(VertexId(s), PropertyId(p), VertexId(o)))
-                    .collect(),
-            )
-        })
+        (
+            proptest::collection::vec((0u32..6, 0u32..3, 0u32..6), 1..25),
+            crate::store::proptests::ops_strategy(),
+        )
+            .prop_map(|(base, ops)| {
+                let mut store = LocalStore::new(
+                    base.into_iter()
+                        .map(|(s, p, o)| Triple::new(VertexId(s), PropertyId(p), VertexId(o)))
+                        .collect(),
+                );
+                for (insert, t) in ops {
+                    if insert {
+                        store.insert(t);
+                    } else {
+                        store.delete(t);
+                    }
+                }
+                store
+            })
     }
 
     /// Random small queries: patterns over ≤3 variables and small constants.

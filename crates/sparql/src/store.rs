@@ -1,9 +1,10 @@
 //! An indexed triple store — the per-site "centralized RDF engine".
 //!
 //! Each partition site holds one [`LocalStore`] over its fragment. Three
-//! sorted permutation indexes (SPO, POS, OSP) answer every triple-pattern
-//! access path by binary search, the standard layout of centralized RDF
-//! engines (RDF-3X, gStore's VS-tree plays the same role).
+//! materialized sorted runs of the triples themselves (SPO, POS, OSP)
+//! answer every triple-pattern access path by binary search plus a
+//! contiguous slice, the standard layout of centralized RDF engines
+//! (RDF-3X, gStore's VS-tree plays the same role).
 
 use mpc_rdf::{FxHashMap, PropertyId, RdfGraph, Triple, VertexId};
 use mpc_rdf::narrow;
@@ -52,14 +53,14 @@ impl StoreStats {
         }
     }
 
-    /// Computes statistics from a sorted, deduplicated triple list and its
-    /// POS permutation (distinct objects fall out of the (p, o, s) runs;
-    /// distinct subjects need one extra (p, s) sort).
-    fn compute(triples: &[Triple], pos: &[u32]) -> StoreStats {
+    /// Computes statistics from a deduplicated triple list sorted by
+    /// (s, p, o) and the same list sorted by (p, o, s) (distinct objects
+    /// fall out of the (p, o, s) run; distinct subjects need one extra
+    /// (p, s) sort).
+    fn compute(triples: &[Triple], pos: &[Triple]) -> StoreStats {
         let mut properties: FxHashMap<u32, PropertyCard> = FxHashMap::default();
         let mut prev: Option<(PropertyId, VertexId)> = None;
-        for &i in pos {
-            let t = triples[i as usize];
+        for t in pos {
             let slot = properties.entry(t.p.0).or_default();
             slot.triples += 1;
             if prev != Some((t.p, t.o)) {
@@ -83,35 +84,42 @@ impl StoreStats {
     }
 }
 
-/// The mutable side of a [`LocalStore`]: triples inserted since the last
-/// compaction (the *novelty*, kept as three small sorted runs mirroring
-/// the base permutations) plus delete tombstones over the base run.
-///
-/// Invariants: the novelty is disjoint from the live base (a staged
-/// triple is never also in `base minus tombstones`), tombstones are a
-/// subset of the base run, and all four vectors are strictly sorted
-/// under their respective keys. Every read path merges base and overlay,
-/// so a store with a non-empty overlay answers exactly like a store
-/// rebuilt from the merged triple set.
+/// One triple set materialized as three sorted runs, so that every
+/// triple-pattern access path is a contiguous slice of one of them.
+/// The base of a [`LocalStore`] and the novelty of its overlay are both
+/// kept this way.
 #[derive(Clone, Debug, Default)]
-struct Overlay {
-    /// Novelty triples sorted by (s, p, o).
+struct Runs {
+    /// The triples sorted by (s, p, o), duplicate-free.
     spo: Vec<Triple>,
-    /// The same novelty sorted by (p, o, s).
+    /// The same triples sorted by (p, o, s).
     pos: Vec<Triple>,
-    /// The same novelty sorted by (o, s, p).
+    /// The same triples sorted by (o, s, p).
     osp: Vec<Triple>,
-    /// Deleted base triples, sorted by (s, p, o).
-    tombstones: Vec<Triple>,
 }
 
-impl Overlay {
-    fn is_empty(&self) -> bool {
-        self.spo.is_empty() && self.tombstones.is_empty()
+fn pos_key(t: &Triple) -> (PropertyId, VertexId, VertexId) {
+    (t.p, t.o, t.s)
+}
+
+fn osp_key(t: &Triple) -> (VertexId, VertexId, PropertyId) {
+    (t.o, t.s, t.p)
+}
+
+impl Runs {
+    /// Materializes the other two orders of a strictly (s, p, o)-sorted
+    /// run.
+    fn from_spo(spo: Vec<Triple>) -> Runs {
+        let mut pos = spo.clone();
+        pos.sort_unstable_by_key(pos_key);
+        let mut osp = spo.clone();
+        osp.sort_unstable_by_key(osp_key);
+        Runs { spo, pos, osp }
     }
 
-    /// The novelty triples matching a pattern, by the same 8-way index
-    /// dispatch the base store uses.
+    /// The triples matching a pattern: the run whose sort order has the
+    /// bound positions as a prefix, narrowed by binary search. Every
+    /// access path is fully covered, so no residual filtering is needed.
     fn select(&self, pat: &Pattern) -> &[Triple] {
         match (pat.s, pat.p, pat.o) {
             (None, None, None) => &self.spo,
@@ -130,16 +138,49 @@ impl Overlay {
         }
     }
 
-    fn insert_novelty(&mut self, t: Triple) {
-        sorted_insert(&mut self.spo, t, |x| (x.s, x.p, x.o));
-        sorted_insert(&mut self.pos, t, |x| (x.p, x.o, x.s));
-        sorted_insert(&mut self.osp, t, |x| (x.o, x.s, x.p));
+    /// `run` (one of the two derived orders) as indices into `spo`.
+    fn permutation(&self, run: &[Triple]) -> Vec<u32> {
+        run.iter()
+            .map(|t| {
+                // mpc-allow: unwrap-expect the three runs hold the same triple set by construction
+                let at = self.spo.binary_search(t).expect("runs hold the same triples");
+                narrow::u32_from(at)
+            })
+            .collect()
     }
 
-    fn remove_novelty(&mut self, t: Triple) {
-        sorted_remove(&mut self.spo, t, |x| (x.s, x.p, x.o));
-        sorted_remove(&mut self.pos, t, |x| (x.p, x.o, x.s));
-        sorted_remove(&mut self.osp, t, |x| (x.o, x.s, x.p));
+    fn insert(&mut self, t: Triple) {
+        sorted_insert(&mut self.spo, t, |x| *x);
+        sorted_insert(&mut self.pos, t, pos_key);
+        sorted_insert(&mut self.osp, t, osp_key);
+    }
+
+    fn remove(&mut self, t: Triple) {
+        sorted_remove(&mut self.spo, t, |x| *x);
+        sorted_remove(&mut self.pos, t, pos_key);
+        sorted_remove(&mut self.osp, t, osp_key);
+    }
+}
+
+/// The mutable side of a [`LocalStore`]: triples inserted since the last
+/// compaction (the *novelty*) plus delete tombstones over the base run.
+///
+/// Invariants: the novelty is disjoint from the live base (a staged
+/// triple is never also in `base minus tombstones`), tombstones are a
+/// subset of the base run, and tombstones are strictly (s, p, o)-sorted.
+/// Every read path merges base and overlay, so a store with a non-empty
+/// overlay answers exactly like a store rebuilt from the merged triple
+/// set.
+#[derive(Clone, Debug, Default)]
+struct Overlay {
+    novelty: Runs,
+    /// Deleted base triples, sorted by (s, p, o).
+    tombstones: Vec<Triple>,
+}
+
+impl Overlay {
+    fn is_empty(&self) -> bool {
+        self.novelty.spo.is_empty() && self.tombstones.is_empty()
     }
 }
 
@@ -156,12 +197,12 @@ fn sorted_remove<K: Ord>(v: &mut Vec<Triple>, t: Triple, key: impl Fn(&Triple) -
     }
 }
 
-/// A sorted-permutation triple store with a novelty overlay.
+/// A sorted-run triple store with a novelty overlay.
 ///
 /// Duplicate triples are removed at construction: SPARQL BGP matching has
 /// set semantics, so multiset duplicates can only produce duplicate rows.
 ///
-/// The base run is immutable; [`LocalStore::insert`] and
+/// The base runs are immutable; [`LocalStore::insert`] and
 /// [`LocalStore::delete`] stage changes in an in-memory overlay that
 /// every read path merges at match time, and [`LocalStore::compact`]
 /// folds the overlay back into sorted runs (docs/UPDATES.md).
@@ -181,13 +222,8 @@ fn sorted_remove<K: Ord>(v: &mut Vec<Triple>, t: Triple, key: impl Fn(&Triple) -
 /// ```
 #[derive(Clone, Debug)]
 pub struct LocalStore {
-    triples: Vec<Triple>,
-    /// Indices sorted by (s, p, o).
-    spo: Vec<u32>,
-    /// Indices sorted by (p, o, s).
-    pos: Vec<u32>,
-    /// Indices sorted by (o, s, p).
-    osp: Vec<u32>,
+    /// What the last construction or compaction produced.
+    base: Runs,
     /// Per-property cardinalities, kept exact across overlay mutations.
     stats: StoreStats,
     /// Staged inserts and delete tombstones (empty after compaction).
@@ -225,28 +261,13 @@ impl LocalStore {
     pub fn new(mut triples: Vec<Triple>) -> Self {
         triples.sort_unstable();
         triples.dedup();
-        let n = narrow::u32_from(triples.len());
-        let mut spo: Vec<u32> = (0..n).collect(); // already (s,p,o)-sorted
-        let mut pos: Vec<u32> = (0..n).collect();
-        let mut osp: Vec<u32> = (0..n).collect();
-        spo.sort_unstable_by_key(|&i| {
-            let t = triples[i as usize];
-            (t.s, t.p, t.o)
-        });
-        pos.sort_unstable_by_key(|&i| {
-            let t = triples[i as usize];
-            (t.p, t.o, t.s)
-        });
-        osp.sort_unstable_by_key(|&i| {
-            let t = triples[i as usize];
-            (t.o, t.s, t.p)
-        });
-        let stats = StoreStats::compute(&triples, &pos);
+        Self::from_runs(Runs::from_spo(triples))
+    }
+
+    fn from_runs(base: Runs) -> Self {
+        let stats = StoreStats::compute(&base.spo, &base.pos);
         LocalStore {
-            triples,
-            spo,
-            pos,
-            osp,
+            base,
             stats,
             overlay: Overlay::default(),
         }
@@ -266,9 +287,9 @@ impl LocalStore {
     /// `osp` must be strictly ascending under their `(p, o, s)` /
     /// `(o, s, p)` sort keys with every index in range. Strict ascent
     /// under a total order pins each permutation to the unique one a
-    /// fresh build computes, so a store accepted here is
-    /// indistinguishable from `LocalStore::new` on the same triples —
-    /// including the statistics, which are recomputed, not deserialized.
+    /// fresh build computes, so the runs materialized from them here are
+    /// the runs `LocalStore::new` sorts into existence on the same
+    /// triples — and the statistics are recomputed, not deserialized.
     pub fn from_sorted_parts(
         triples: Vec<Triple>,
         pos: Vec<u32>,
@@ -283,16 +304,17 @@ impl LocalStore {
                 ));
             }
         }
-        let check_perm = |perm: &[u32],
-                          name: &str,
-                          key: &dyn Fn(Triple) -> (u32, u32, u32)|
-         -> Result<(), String> {
+        let materialize = |perm: &[u32],
+                           name: &str,
+                           key: &dyn Fn(Triple) -> (u32, u32, u32)|
+         -> Result<Vec<Triple>, String> {
             if perm.len() != n {
                 return Err(format!(
                     "{name} permutation has {} entries for {n} triples",
                     perm.len()
                 ));
             }
+            let mut run = Vec::with_capacity(n);
             let mut prev: Option<(u32, u32, u32)> = None;
             for &i in perm {
                 let t = *triples
@@ -303,36 +325,33 @@ impl LocalStore {
                     return Err(format!("{name} permutation is not strictly sorted"));
                 }
                 prev = Some(k);
+                run.push(t);
             }
-            Ok(())
+            Ok(run)
         };
-        check_perm(&pos, "pos", &|t| (t.p.0, t.o.0, t.s.0))?;
-        check_perm(&osp, "osp", &|t| (t.o.0, t.s.0, t.p.0))?;
-        let spo: Vec<u32> = (0..narrow::u32_from(n)).collect();
-        let stats = StoreStats::compute(&triples, &pos);
-        Ok(LocalStore {
-            triples,
-            spo,
+        let pos = materialize(&pos, "pos", &|t| (t.p.0, t.o.0, t.s.0))?;
+        let osp = materialize(&osp, "osp", &|t| (t.o.0, t.s.0, t.p.0))?;
+        Ok(Self::from_runs(Runs {
+            spo: triples,
             pos,
             osp,
-            stats,
-            overlay: Overlay::default(),
-        })
+        }))
     }
 
-    /// The `(p, o, s)`-sorted index permutation (for persistence).
-    pub fn pos_permutation(&self) -> &[u32] {
-        &self.pos
+    /// The base `(p, o, s)` run as indices into [`LocalStore::triples`] —
+    /// the form the snapshot format persists (docs/PERSISTENCE.md).
+    pub fn pos_permutation(&self) -> Vec<u32> {
+        self.base.permutation(&self.base.pos)
     }
 
-    /// The `(o, s, p)`-sorted index permutation (for persistence).
-    pub fn osp_permutation(&self) -> &[u32] {
-        &self.osp
+    /// The base `(o, s, p)` run as indices into [`LocalStore::triples`].
+    pub fn osp_permutation(&self) -> Vec<u32> {
+        self.base.permutation(&self.base.osp)
     }
 
     /// Number of stored (distinct) triples, overlay included.
     pub fn len(&self) -> usize {
-        self.triples.len() - self.overlay.tombstones.len() + self.overlay.spo.len()
+        self.base.spo.len() - self.overlay.tombstones.len() + self.overlay.novelty.spo.len()
     }
 
     /// True if the store is empty (overlay included).
@@ -345,7 +364,7 @@ impl LocalStore {
     /// need the live triple set must use [`LocalStore::scan`] with
     /// [`Pattern::any`], or [`LocalStore::compact`] first.
     pub fn triples(&self) -> &[Triple] {
-        &self.triples
+        &self.base.spo
     }
 
     /// Per-property cardinality statistics of this store, kept exact
@@ -356,39 +375,38 @@ impl LocalStore {
     }
 
     /// Number of triples matching a pattern — the matcher's selectivity
-    /// estimate. Costs two binary searches on the base run plus two on
-    /// the novelty (and a tombstone sweep only while deletes are staged).
+    /// estimate. Costs one range search on the base run plus one on the
+    /// novelty (and a tombstone sweep only while deletes are staged).
     pub fn count(&self, pat: &Pattern) -> usize {
         let dead = if self.overlay.tombstones.is_empty() {
             0
         } else {
             // Tombstones are a subset of the base run, so every match
-            // here is also counted by `select_range`.
+            // here is also counted by the base range.
             self.overlay.tombstones.iter().filter(|t| pat.matches(t)).count()
         };
-        self.select_range(pat).len() - dead + self.overlay.select(pat).len()
+        self.base.select(pat).len() - dead + self.overlay.novelty.select(pat).len()
     }
 
-    /// Iterates all triples matching a pattern, using the best index:
-    /// the base run (minus tombstones) followed by the matching novelty.
-    /// Every access path is fully covered by a sorted permutation on
-    /// both sides, so no residual filtering is needed.
+    /// Iterates all triples matching a pattern, using the best run: the
+    /// base range (minus tombstones) followed by the matching novelty.
     pub fn scan<'a>(&'a self, pat: &Pattern) -> impl Iterator<Item = Triple> + 'a {
         let tombstones = &self.overlay.tombstones;
         let base = self
-            .select_range(pat)
+            .base
+            .select(pat)
             .iter()
-            .map(move |&i| self.triples[i as usize])
+            .copied()
             .filter(move |t| tombstones.is_empty() || tombstones.binary_search(t).is_err());
-        base.chain(self.overlay.select(pat).iter().copied())
+        base.chain(self.overlay.novelty.select(pat).iter().copied())
     }
 
     /// True if the store currently holds `t` (overlay included).
     pub fn contains(&self, t: Triple) -> bool {
-        if self.overlay.spo.binary_search(&t).is_ok() {
+        if self.overlay.novelty.spo.binary_search(&t).is_ok() {
             return true;
         }
-        self.triples.binary_search(&t).is_ok()
+        self.base.spo.binary_search(&t).is_ok()
             && self.overlay.tombstones.binary_search(&t).is_err()
     }
 
@@ -404,7 +422,7 @@ impl LocalStore {
         if let Ok(at) = self.overlay.tombstones.binary_search(&t) {
             self.overlay.tombstones.remove(at);
         } else {
-            self.overlay.insert_novelty(t);
+            self.overlay.novelty.insert(t);
         }
         true
     }
@@ -413,16 +431,16 @@ impl LocalStore {
     /// get a tombstone. Returns `true` if the store changed (deleting an
     /// absent triple is a no-op).
     pub fn delete(&mut self, t: Triple) -> bool {
-        if self.overlay.spo.binary_search(&t).is_ok() {
+        if self.overlay.novelty.spo.binary_search(&t).is_ok() {
             self.stats_remove(t);
-            self.overlay.remove_novelty(t);
+            self.overlay.novelty.remove(t);
             return true;
         }
-        if self.triples.binary_search(&t).is_ok()
+        if self.base.spo.binary_search(&t).is_ok()
             && self.overlay.tombstones.binary_search(&t).is_err()
         {
             self.stats_remove(t);
-            sorted_insert(&mut self.overlay.tombstones, t, |x| (x.s, x.p, x.o));
+            sorted_insert(&mut self.overlay.tombstones, t, |x| *x);
             return true;
         }
         false
@@ -430,7 +448,7 @@ impl LocalStore {
 
     /// Triples currently staged in the novelty overlay.
     pub fn novelty_len(&self) -> usize {
-        self.overlay.spo.len()
+        self.overlay.novelty.spo.len()
     }
 
     /// Base triples currently tombstoned by staged deletes.
@@ -444,8 +462,8 @@ impl LocalStore {
         !self.overlay.is_empty()
     }
 
-    /// Folds the overlay into the base run, rebuilding the three sorted
-    /// permutations. Afterwards the store is bit-identical to a fresh
+    /// Folds the overlay into the base, rebuilding the three sorted
+    /// runs. Afterwards the store is bit-identical to a fresh
     /// [`LocalStore::new`] over the merged triple set, and
     /// [`LocalStore::triples`] reflects every staged change.
     pub fn compact(&mut self) {
@@ -491,55 +509,31 @@ impl LocalStore {
             }
         }
     }
-
-    /// Picks the index whose sort order covers the bound positions and
-    /// narrows it by binary search.
-    fn select_range(&self, pat: &Pattern) -> &[u32] {
-        let t = |i: &u32| self.triples[*i as usize];
-        match (pat.s, pat.p, pat.o) {
-            (None, None, None) => &self.spo,
-            // Prefixes of SPO.
-            (Some(s), None, None) => range_by(&self.spo, |i| t(i).s.cmp(&s)),
-            (Some(s), Some(p), None) => {
-                range_by(&self.spo, |i| (t(i).s, t(i).p).cmp(&(s, p)))
-            }
-            (Some(s), Some(p), Some(o)) => {
-                range_by(&self.spo, |i| (t(i).s, t(i).p, t(i).o).cmp(&(s, p, o)))
-            }
-            // Prefixes of POS.
-            (None, Some(p), None) => range_by(&self.pos, |i| t(i).p.cmp(&p)),
-            (None, Some(p), Some(o)) => {
-                range_by(&self.pos, |i| (t(i).p, t(i).o).cmp(&(p, o)))
-            }
-            // Prefixes of OSP.
-            (None, None, Some(o)) => range_by(&self.osp, |i| t(i).o.cmp(&o)),
-            (Some(s), None, Some(o)) => {
-                range_by(&self.osp, |i| (t(i).o, t(i).s).cmp(&(o, s)))
-            }
-        }
-    }
 }
 
-/// Binary-searches the maximal subslice where `cmp` returns `Equal`,
-/// assuming the slice is sorted consistently with `cmp`.
-fn range_by<F>(index: &[u32], cmp: F) -> &[u32]
-where
-    F: Fn(&u32) -> std::cmp::Ordering,
-{
-    let lo = index.partition_point(|i| cmp(i) == std::cmp::Ordering::Less);
-    let hi = index.partition_point(|i| cmp(i) != std::cmp::Ordering::Greater);
-    &index[lo..hi]
-}
-
-/// [`range_by`] over a directly sorted triple run (the overlay's novelty
-/// vectors store triples, not indices).
+/// The maximal subslice where `cmp` returns `Equal`, assuming the run is
+/// sorted consistently with `cmp`: a binary search for its start, then a
+/// gallop for its end. Most probes of a search match a handful of
+/// triples, so doubling steps from the start reach the end in a few
+/// adjacent reads where a second bisection of the run would pay its full
+/// depth again; a long range costs the gallop at most twice that depth.
 fn range_of<F>(run: &[Triple], cmp: F) -> &[Triple]
 where
     F: Fn(&Triple) -> std::cmp::Ordering,
 {
-    let lo = run.partition_point(|t| cmp(t) == std::cmp::Ordering::Less);
-    let hi = run.partition_point(|t| cmp(t) != std::cmp::Ordering::Greater);
-    &run[lo..hi]
+    use std::cmp::Ordering::{Equal, Less};
+    let lo = run.partition_point(|t| cmp(t) == Less);
+    let tail = &run[lo..];
+    // Double `step` until `tail[step - 1]` is past the range (or the run
+    // ends); the range then ends within `tail[step / 2..step]`.
+    let mut step = 1;
+    while step < tail.len() && cmp(&tail[step - 1]) == Equal {
+        step *= 2;
+    }
+    let from = step / 2;
+    let to = step.min(tail.len());
+    let len = from + tail[from..to].partition_point(|t| cmp(t) == Equal);
+    &tail[..len]
 }
 
 #[cfg(test)]
@@ -812,7 +806,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
 
@@ -838,7 +832,7 @@ mod proptests {
     }
 
     /// A random mutation stream: `true` is an insert, `false` a delete.
-    fn ops_strategy() -> impl Strategy<Value = Vec<(bool, Triple)>> {
+    pub(crate) fn ops_strategy() -> impl Strategy<Value = Vec<(bool, Triple)>> {
         proptest::collection::vec(
             (0u32..10, (0u32..8, 0u32..4, 0u32..8)),
             0..40,
