@@ -71,7 +71,10 @@ echo "==> serve smoke (cached workload replay, deterministic + hitting, docs/SER
 cat > "$CI_TMP/workload.txt" <<'EOF'
 # two spellings of one BGP plus a distinct query, replayed — then the
 # algebra operators (docs/QUERY.md): an OPTIONAL and its variable-renamed
-# respelling, a bag UNION (repeated), and an ORDER BY + LIMIT
+# respelling, a bag UNION (repeated), an ORDER BY + LIMIT, and last an
+# OPTIONAL behind a constant-anchored left side (3 rows in this graph)
+# whose arm runs as a seeded leaf, so every digest comparison below also
+# covers the bind join
 SELECT ?x ?y WHERE { ?x <urn:p:8> ?y . ?y <urn:p:13> ?z }
 SELECT ?a ?b WHERE { ?b <urn:p:13> ?c . ?a <urn:p:8> ?b }
 SELECT ?x WHERE { ?x <urn:p:0> ?y }
@@ -81,6 +84,7 @@ SELECT ?a ?c WHERE { ?a <urn:p:8> ?b OPTIONAL { ?b <urn:p:13> ?c } }
 SELECT ?x WHERE { { ?x <urn:p:8> ?y } UNION { ?x <urn:p:13> ?y } }
 SELECT ?x ?y WHERE { ?x <urn:p:8> ?y } ORDER BY DESC(?y) LIMIT 4
 SELECT ?x WHERE { { ?x <urn:p:8> ?y } UNION { ?x <urn:p:13> ?y } }
+SELECT ?x ?o WHERE { ?x <urn:p:8> <urn:v:1175> OPTIONAL { ?x <urn:p:0> ?o } }
 EOF
 serve_replay() {
     "$MPC" serve --input "$CI_TMP/lubm.nt" --partitions "$CI_TMP/lubm.parts" \

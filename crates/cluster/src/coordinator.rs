@@ -36,8 +36,9 @@ use mpc_core::Partitioning;
 use mpc_obs::Recorder;
 use mpc_rdf::{Dictionary, FxHashMap, RdfGraph};
 use mpc_sparql::{
-    eval_plan, evaluate_ordered, evaluate_ordered_observed, join_all, static_order, BgpSource,
-    Bindings, MatchStats, Query, ResolvedFilter, ResolvedPlan, StoreStats, TriplePattern,
+    eval_plan, evaluate_ordered, evaluate_ordered_observed, evaluate_seeded_observed, join_all,
+    seeding_pays, static_order, BgpSource, Bindings, LocalStore, MatchObserver, MatchStats, Query,
+    ResolvedFilter, ResolvedPlan, StoreStats, TriplePattern,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,12 +208,17 @@ impl ExecOutcome {
 pub(crate) struct CachedPlan {
     class: IeqClass,
     subqueries: Option<Arc<Vec<Subquery>>>,
-    /// Pattern order for independent execution of the whole query.
+    /// Pattern order for independent execution of the whole query
+    /// (starting from the seed variable in a seeded leaf's entry).
     order: Arc<Vec<usize>>,
     /// Pattern order per subquery (parallel to `subqueries`; empty when
     /// the query runs independently).
     sub_orders: Arc<Vec<Vec<usize>>>,
 }
+
+/// Plan-cache key: (pattern list, crossing-aware?, the variable a seeded
+/// leaf starts bound).
+type PlanKey = (Vec<TriplePattern>, bool, Option<u32>);
 
 /// The (possibly partial) result of a fault-tolerant execution: graceful
 /// degradation makes incompleteness *explicit* instead of silently wrong.
@@ -320,8 +326,8 @@ pub struct DistributedEngine {
     /// results (the AdPart/WORQ-style run-time optimization; off by
     /// default to match the paper's plain execution).
     pub semijoin_reduction: bool,
-    /// Plan cache keyed by (pattern list, crossing-aware?).
-    pub(crate) plans: Mutex<FxHashMap<(Vec<TriplePattern>, bool), CachedPlan>>,
+    /// The coordinator's plan cache.
+    pub(crate) plans: Mutex<FxHashMap<PlanKey, CachedPlan>>,
     /// Per-property cardinality statistics aggregated across sites at
     /// build time (crossing-edge replicas are counted once per site, so
     /// counts are upper bounds — fine for comparing plan candidates).
@@ -560,7 +566,8 @@ impl DistributedEngine {
         };
         match layer {
             None => {
-                let (rows, stats) = self.exec_infallible(query, req.mode, rec, threads);
+                let (rows, stats) =
+                    self.exec_infallible(query, req.mode, rec, threads, Pushed::default());
                 Ok(ExecOutcome {
                     bindings: PartialBindings {
                         rows,
@@ -663,16 +670,20 @@ impl DistributedEngine {
     /// breakdown plus plan-cache, semijoin, and matcher counters under
     /// `query.*`. With a disabled recorder, sites run the unobserved
     /// matcher and nothing is formatted or allocated.
+    ///
+    /// `pushed` is what [`Self::run_plan`] moved into the sites for this
+    /// leaf; anything but the default requires an independent `query`.
     fn exec_infallible(
         &self,
         query: &Query,
         mode: ExecMode,
         rec: &Recorder,
         threads: usize,
+        pushed: Pushed<'_>,
     ) -> (Bindings, ExecutionStats) {
         let qdt_span = rec.span("query.qdt");
         let t0 = Instant::now();
-        let plan_entry = self.lookup_plan(query, mode, rec);
+        let plan_entry = self.lookup_plan(query, mode, pushed.seed.map(|(var, _)| var), rec);
         let class = plan_entry.class;
         let plan: Option<Arc<Vec<Subquery>>> = plan_entry.subqueries;
         let decomposition_time = t0.elapsed();
@@ -681,7 +692,7 @@ impl DistributedEngine {
         let (result, stats) = match plan {
             None => {
                 let (result, local_eval_time, comm_bytes, comm_time) =
-                    self.run_everywhere_and_union(query, &plan_entry.order, &[], rec, threads);
+                    self.run_everywhere_and_union(query, &plan_entry.order, pushed, rec, threads);
                 let stats = ExecutionStats {
                     class,
                     independent: true,
@@ -697,6 +708,7 @@ impl DistributedEngine {
                 (result, stats)
             }
             Some(subqueries) => {
+                debug_assert!(pushed.filters.is_empty() && pushed.seed.is_none());
                 let (tables, local_eval_time, comm_bytes, comm_time) =
                     self.run_subqueries(&subqueries, &plan_entry.sub_orders, rec, threads);
                 let join_span = rec.span("query.join");
@@ -737,10 +749,20 @@ impl DistributedEngine {
     }
 
     /// Plan-cache lookup: classification, (for non-IEQs) decomposition,
-    /// and static join orders, computed once per (pattern list, mode) and
-    /// reused.
-    fn lookup_plan(&self, query: &Query, mode: ExecMode, rec: &Recorder) -> CachedPlan {
-        let key = (query.patterns.clone(), mode == ExecMode::CrossingAware);
+    /// and static join orders, computed once per (pattern list, mode,
+    /// seed variable) and reused.
+    fn lookup_plan(
+        &self,
+        query: &Query,
+        mode: ExecMode,
+        seed: Option<u32>,
+        rec: &Recorder,
+    ) -> CachedPlan {
+        let key = (
+            query.patterns.clone(),
+            mode == ExecMode::CrossingAware,
+            seed,
+        );
         let cached = self.plans.lock().get(&key).cloned();
         match cached {
             Some(p) => {
@@ -764,11 +786,17 @@ impl DistributedEngine {
                     &query.patterns,
                     query.var_count(),
                     &self.stats,
+                    seed,
                 ));
                 let sub_orders = Arc::new(subqueries.as_deref().map_or_else(Vec::new, |subs| {
                     subs.iter()
                         .map(|sq| {
-                            static_order(&sq.query.patterns, sq.query.var_count(), &self.stats)
+                            static_order(
+                                &sq.query.patterns,
+                                sq.query.var_count(),
+                                &self.stats,
+                                None,
+                            )
                         })
                         .collect()
                 }));
@@ -802,7 +830,7 @@ impl DistributedEngine {
     ) -> Result<(PartialBindings, ExecutionStats), SiteError> {
         let qdt_span = rec.span("query.qdt");
         let t0 = Instant::now();
-        let plan_entry = self.lookup_plan(query, mode, rec);
+        let plan_entry = self.lookup_plan(query, mode, None, rec);
         let class = plan_entry.class;
         let decomposition_time = t0.elapsed();
         drop(qdt_span);
@@ -1047,19 +1075,26 @@ impl DistributedEngine {
     /// (crossing-edge replicas can duplicate matches, so the union
     /// dedups).
     ///
-    /// `filters` are id-only [`ResolvedFilter`]s in the query's own
-    /// variable space, applied *inside* each site before rows are
+    /// `pushed.filters` are id-only [`ResolvedFilter`]s in the query's
+    /// own variable space, applied *inside* each site before rows are
     /// shipped — the partition-local FILTER pushdown of docs/QUERY.md.
     /// Rows a filter rejects never cross the property cut, so they are
     /// charged no wire bytes.
+    ///
+    /// `pushed.seed` makes this the right-hand leaf of a bind join: every
+    /// site starts its search from the keys (`order` is then the seeded
+    /// order), and the keys, which travel with each site's request, are
+    /// charged at wire size like the semijoin filters of
+    /// [`Self::run_subqueries`].
     fn run_everywhere_and_union(
         &self,
         query: &Query,
         order: &[usize],
-        filters: &[ResolvedFilter],
+        pushed: Pushed<'_>,
         rec: &Recorder,
         threads: usize,
     ) -> (Bindings, Duration, u64, Duration) {
+        let Pushed { filters, seed } = pushed;
         // Only observe the matcher when the recorder is live — the
         // unobserved arm monomorphizes to the exact pre-instrumentation
         // search loop.
@@ -1068,10 +1103,10 @@ impl DistributedEngine {
         let per_site = self.parallel_eval(threads, rec, |site| {
             let (mut b, mstats) = if observe {
                 let mut mstats = MatchStats::default();
-                let b = evaluate_ordered_observed(query, &site.store, order, &mut mstats);
+                let b = eval_leaf(query, &site.store, order, seed, &mut mstats);
                 (b, Some(mstats))
             } else {
-                (evaluate_ordered(query, &site.store, order), None)
+                (eval_leaf(query, &site.store, order, seed, &mut ()), None)
             };
             if !filters.is_empty() {
                 b.rows
@@ -1079,13 +1114,18 @@ impl DistributedEngine {
             }
             (b, mstats)
         });
+        let mut comm_bytes = 0u64;
+        // Summed post-join on the coordinator thread, like every other
+        // counter (workers never touch the recorder).
         if !filters.is_empty() {
-            // Summed post-join on the coordinator thread, like every
-            // other counter (workers never touch the recorder).
             rec.add("query.pushdown.site_evals", self.sites.len() as u64);
             rec.add("query.pushdown.filters", filters.len() as u64);
         }
-        let mut comm_bytes = 0u64;
+        if let Some((_, keys)) = seed {
+            comm_bytes += self.sites.len() as u64 * wire::encoded_len(keys.len(), 1);
+            rec.incr("query.seed.leaves");
+            rec.add("query.seed.keys", keys.len() as u64);
+        }
         let width = query.var_count();
         let mut runs = Vec::with_capacity(per_site.len());
         let mut max_time = Duration::ZERO;
@@ -1215,6 +1255,30 @@ impl DistributedEngine {
     }
 }
 
+/// What [`DistributedEngine::run_plan`] moves into the sites of one
+/// independent leaf (docs/QUERY.md); the default is a plain leaf.
+#[derive(Clone, Copy, Default)]
+struct Pushed<'a> {
+    /// Id-only filters in the leaf's variable space.
+    filters: &'a [ResolvedFilter],
+    /// The leaf variable a bind join seeds, with its sorted distinct keys.
+    seed: Option<(u32, &'a [u32])>,
+}
+
+/// One site's evaluation of an independent leaf under its static order.
+fn eval_leaf(
+    query: &Query,
+    store: &LocalStore,
+    order: &[usize],
+    seed: Option<(u32, &[u32])>,
+    obs: &mut impl MatchObserver,
+) -> Bindings {
+    match seed {
+        Some((var, keys)) => evaluate_seeded_observed(query, store, order, var, keys, obs),
+        None => evaluate_ordered_observed(query, store, order, obs),
+    }
+}
+
 /// The [`BgpSource`] behind [`DistributedEngine::run_plan`]: leaves run
 /// through the engine and their [`ExecutionStats`] are summed as they
 /// complete (leaves evaluate sequentially on the coordinator; each one
@@ -1222,8 +1286,9 @@ impl DistributedEngine {
 struct EngineSource<'a> {
     engine: &'a DistributedEngine,
     req: &'a ExecRequest,
-    /// False when a fault layer is in effect — pushdown then stands
-    /// down so every leaf follows the chaos-contract path.
+    /// False when a fault layer is in effect — filter pushdown and
+    /// seeding then stand down so every leaf follows the chaos-contract
+    /// path.
     pushdown_ok: bool,
     agg: Option<ExecutionStats>,
     complete: bool,
@@ -1231,6 +1296,20 @@ struct EngineSource<'a> {
 }
 
 impl EngineSource<'_> {
+    /// Runs an independent leaf on the infallible path with `pushed`
+    /// applied inside the sites. Callers have checked `pushdown_ok` and
+    /// that the leaf is independent.
+    fn run_independent_leaf(&mut self, query: &Query, pushed: Pushed<'_>) -> Bindings {
+        let req = self.req;
+        let threads = mpc_par::resolve_threads(req.threads);
+        req.recorder.set("par.threads", threads as u64);
+        let (rows, stats) =
+            self.engine
+                .exec_infallible(query, req.mode, &req.recorder, threads, pushed);
+        self.note(stats);
+        rows
+    }
+
     /// Folds one leaf's stats into the aggregate: times, bytes, and
     /// subquery counts sum; `class` keeps the first leaf's value;
     /// `independent` holds only if every leaf held it.
@@ -1277,31 +1356,41 @@ impl BgpSource for EngineSource<'_> {
         if !self.pushdown_ok || !self.engine.is_independent(query, self.req.mode) {
             return None;
         }
+        Some(Ok(self.run_independent_leaf(
+            query,
+            Pushed {
+                filters,
+                seed: None,
+            },
+        )))
+    }
+
+    fn eval_bgp_seeded(
+        &mut self,
+        query: &Query,
+        var: u32,
+        keys: &[u32],
+    ) -> Option<Result<Bindings, SiteError>> {
         let engine = self.engine;
-        let req = self.req;
-        let threads = mpc_par::resolve_threads(req.threads);
-        let rec = &req.recorder;
-        rec.set("par.threads", threads as u64);
-        let qdt_span = rec.span("query.qdt");
-        let t0 = Instant::now();
-        let plan_entry = engine.lookup_plan(query, req.mode, rec);
-        let decomposition_time = t0.elapsed();
-        drop(qdt_span);
-        let (result, local_eval_time, comm_bytes, comm_time) =
-            engine.run_everywhere_and_union(query, &plan_entry.order, filters, rec, threads);
-        self.note(ExecutionStats {
-            class: plan_entry.class,
-            independent: true,
-            subqueries: 1,
-            decomposition_time,
-            local_eval_time,
-            join_time: Duration::ZERO,
-            comm_bytes,
-            comm_time,
-            result_rows: result.len(),
-            faults: FaultStats::default(),
-        });
-        Some(Ok(result))
+        if !self.pushdown_ok
+            || !engine.is_independent(query, self.req.mode)
+            || !seeding_pays(
+                &query.patterns,
+                query.var_count(),
+                &engine.stats,
+                keys.len(),
+            )
+        {
+            self.req.recorder.incr("query.seed.declined");
+            return None;
+        }
+        Some(Ok(self.run_independent_leaf(
+            query,
+            Pushed {
+                filters: &[],
+                seed: Some((var, keys)),
+            },
+        )))
     }
 }
 
@@ -2181,5 +2270,129 @@ mod tests {
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    /// Join texts over `iri_dataset()` whose right-hand leaf shares a
+    /// variable with a left side of one row: a bound OPTIONAL, an
+    /// OPTIONAL whose arm finds nothing, an object-anchored left side,
+    /// and a join of two groups.
+    const SEEDED_TEXTS: [&str; 4] = [
+        "SELECT * WHERE { <urn:v:0> <urn:p:0> ?x OPTIONAL { ?x <urn:p:0> ?y } }",
+        "SELECT * WHERE { <urn:v:6> <urn:p:0> ?x OPTIONAL { ?x <urn:p:0> ?y } }",
+        "SELECT * WHERE { ?h <urn:p:2> <urn:v:9> OPTIONAL { ?h <urn:p:0> ?n } }",
+        "SELECT * WHERE { { <urn:v:2> <urn:p:0> ?h } { ?h <urn:p:2> ?y } }",
+    ];
+
+    #[test]
+    fn run_plan_seeds_join_leaves_and_matches_centralized_byte_for_byte() {
+        let g = iri_dataset();
+        let engine = mpc_engine(&g);
+        let store = LocalStore::from_graph(&g);
+        for text in SEEDED_TEXTS {
+            let plan = plan_of(&g, text);
+            let central = mpc_sparql::eval_plan_local(&plan, &store, g.dictionary());
+            assert!(!central.is_empty(), "{text}");
+            for threads in [1, 4] {
+                let rec = Recorder::enabled();
+                let outcome = engine
+                    .run_plan(
+                        &plan,
+                        &ExecRequest::new().traced(&rec).threads(threads),
+                        g.dictionary(),
+                    )
+                    .expect("fault-free plan execution is total");
+                assert_eq!(outcome.rows(), &central, "{text} at {threads} threads");
+                assert_eq!(rec.counter("query.seed.leaves"), Some(1), "{text}");
+                assert_eq!(rec.counter("query.seed.keys"), Some(1), "{text}");
+                assert_eq!(rec.counter("query.seed.declined"), None, "{text}");
+            }
+        }
+        // Eight hub targets against seven p1 edges: scanning is cheaper.
+        let wide = plan_of(
+            &g,
+            "SELECT * WHERE { ?h <urn:p:2> ?x OPTIONAL { ?x <urn:p:1> ?y } }",
+        );
+        let rec = Recorder::enabled();
+        let outcome = engine
+            .run_plan(&wide, &ExecRequest::new().traced(&rec), g.dictionary())
+            .expect("fault-free plan execution is total");
+        assert_eq!(
+            outcome.rows(),
+            &mpc_sparql::eval_plan_local(&wide, &store, g.dictionary())
+        );
+        assert_eq!(rec.counter("query.seed.leaves"), None);
+        assert_eq!(rec.counter("query.seed.declined"), Some(1));
+    }
+
+    #[test]
+    fn run_plan_with_fault_layer_stands_seeding_down() {
+        let g = iri_dataset();
+        let mut engine = mpc_engine(&g);
+        engine.enable_fault_tolerance(FaultPlan::none(), RetryPolicy::default(), 0, true);
+        let store = LocalStore::from_graph(&g);
+        for text in SEEDED_TEXTS {
+            let plan = plan_of(&g, text);
+            let rec = Recorder::enabled();
+            let outcome = engine
+                .run_plan(&plan, &ExecRequest::new().traced(&rec), g.dictionary())
+                .expect("an empty fault plan injects nothing");
+            assert_eq!(
+                rec.counter("query.seed.leaves"),
+                None,
+                "fault-layer requests must keep the plain leaf path"
+            );
+            assert_eq!(rec.counter("query.seed.declined"), Some(1));
+            assert_eq!(
+                outcome.rows(),
+                &mpc_sparql::eval_plan_local(&plan, &store, g.dictionary()),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_leaf_is_charged_its_keys_and_ships_fewer_bytes() {
+        let g = iri_dataset();
+        let engine = mpc_engine(&g);
+        let plan = plan_of(&g, SEEDED_TEXTS[0]);
+        let mut leaves = Vec::new();
+        plan.root.for_each(&mut |n| {
+            if let mpc_sparql::PlanNode::Bgp { query, .. } = n {
+                leaves.push(query);
+            }
+        });
+        let [left, right] = leaves[..] else {
+            panic!("an OPTIONAL over two leaves");
+        };
+        let plain = |q: &Query| exec(&engine, q);
+        let (left_rows, left_stats) = plain(left);
+        let (_, right_stats) = plain(right);
+        // <urn:v:0> p0 ?x binds ?x once; the arm keys on it.
+        let keys: Vec<u32> = left_rows.rows.iter().map(|row| row[0]).collect();
+        assert_eq!(keys.len(), 1);
+
+        let seeded = engine
+            .run_plan(&plan, &ExecRequest::new(), g.dictionary())
+            .expect("fault-free plan execution is total");
+        let sites = engine.site_count() as u64;
+        let key_bytes = sites * wire::encoded_len(keys.len(), 1);
+        // What each site ships back: its share of the arm's keyed rows.
+        let arm_bytes: u64 = engine
+            .sites
+            .iter()
+            .map(|site| {
+                let mut rows = evaluate(right, &site.store);
+                rows.rows.retain(|row| keys.contains(&row[0]));
+                wire::encoded_len(rows.len(), right.var_count())
+            })
+            .sum();
+        assert_eq!(
+            seeded.stats.comm_bytes,
+            left_stats.comm_bytes + key_bytes + arm_bytes
+        );
+        assert!(
+            seeded.stats.comm_bytes < left_stats.comm_bytes + right_stats.comm_bytes,
+            "one key out, one row back beats shipping the whole property"
+        );
     }
 }

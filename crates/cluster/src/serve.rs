@@ -448,16 +448,18 @@ impl ServeEngine {
         }
         let rec = &req.recorder;
         let canon = self.lookup_canon(query, rec);
-        let use_cache = req.cached && self.cache_capacity > 0;
-        let key = (
-            canon.query.patterns.clone(),
-            canon.query.var_count(),
-            req.mode == ExecMode::CrossingAware,
-            self.epoch(),
-        );
-        let shard = &self.shards[self.shard_for(&canon)];
-        if use_cache {
-            let hit = shard.lock().get(&key);
+        // Key and shard are only worked out for requests that may use them.
+        let slot = (req.cached && self.cache_capacity > 0).then(|| {
+            let key = (
+                canon.query.patterns.clone(),
+                canon.query.var_count(),
+                req.mode == ExecMode::CrossingAware,
+                self.epoch(),
+            );
+            (key, &self.shards[self.shard_for(&canon)])
+        });
+        if let Some((key, shard)) = &slot {
+            let hit = shard.lock().get(key);
             if let Some((rows, stats)) = hit {
                 rec.incr("serve.cache.hit");
                 let rows = canon.restore_bindings(Bindings::clone(&rows));
@@ -466,7 +468,7 @@ impl ServeEngine {
             rec.incr("serve.cache.miss");
         }
         let (partial, stats) = self.inner.run(&canon.query, req)?.into_parts();
-        if use_cache {
+        if let Some((key, shard)) = slot {
             let evicted = shard.lock().insert(key, compact_copy(&partial.rows), stats);
             if evicted {
                 rec.incr("serve.cache.evict");
@@ -517,15 +519,20 @@ impl ServeEngine {
         }
         let rec = &req.recorder;
         let canon = self.lookup_plan_canon(plan, rec);
-        let use_cache = req.cached && self.cache_capacity > 0;
-        let key = (
-            canon.plan.root.clone(),
-            req.mode == ExecMode::CrossingAware,
-            self.epoch(),
-        );
-        let shard = &self.plan_shards[self.plan_shard_for(&canon.plan.root)];
-        if use_cache {
-            let hit = shard.lock().get(&key);
+        // Key and shard are only worked out for requests that may use them.
+        let slot = (req.cached && self.cache_capacity > 0).then(|| {
+            let key = (
+                canon.plan.root.clone(),
+                req.mode == ExecMode::CrossingAware,
+                self.epoch(),
+            );
+            (
+                key,
+                &self.plan_shards[self.plan_shard_for(&canon.plan.root)],
+            )
+        });
+        if let Some((key, shard)) = &slot {
+            let hit = shard.lock().get(key);
             if let Some((rows, stats)) = hit {
                 rec.incr("serve.cache.hit");
                 let rows = canon.restore_bindings(Bindings::clone(&rows));
@@ -534,7 +541,7 @@ impl ServeEngine {
             rec.incr("serve.cache.miss");
         }
         let (partial, stats) = self.inner.run_plan(&canon.plan, req, dict)?.into_parts();
-        if use_cache {
+        if let Some((key, shard)) = slot {
             let evicted = shard.lock().insert(key, compact_copy(&partial.rows), stats);
             if evicted {
                 rec.incr("serve.cache.evict");

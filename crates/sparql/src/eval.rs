@@ -13,16 +13,22 @@
 //! ids ([`ResolvedFilter::is_id_only`]): a distributed source can then
 //! apply them inside each partition before rows cross the property cut.
 //! Whatever the source declines runs at this layer instead.
+//!
+//! A `Join`/`LeftJoin` whose right operand is a BGP leaf is a **bind
+//! join**: the left side runs first and the leaf is offered its distinct
+//! values of one shared variable ([`BgpSource::eval_bgp_seeded`]), so a
+//! source can start the leaf's search from those keys instead of scanning
+//! a whole property to keep a handful of rows.
 
 use crate::algebra::{
     bag_project, bag_union, compat_join, dedup_preserving_order, left_join, sort_rows, Bindings,
-    PlanNode, ResolvedFilter, ResolvedPlan,
+    PlanNode, ResolvedFilter, ResolvedPlan, UNBOUND,
 };
 use crate::matcher::evaluate_ordered;
 use crate::planner::static_order;
 use crate::query::Query;
 use crate::store::LocalStore;
-use mpc_rdf::Dictionary;
+use mpc_rdf::{narrow, Dictionary};
 
 /// Supplies BGP leaf results during plan evaluation.
 pub trait BgpSource {
@@ -44,6 +50,23 @@ pub trait BgpSource {
         &mut self,
         _query: &Query,
         _filters: &[ResolvedFilter],
+    ) -> Option<Result<Bindings, Self::Error>> {
+        None
+    }
+
+    /// Like [`eval_bgp`](Self::eval_bgp), but only the rows whose leaf
+    /// variable `var` takes one of `keys` (sorted, distinct) are wanted:
+    /// the leaf is the right operand of a join and `keys` are all the
+    /// values its left side binds `var` to. An accepting source returns
+    /// exactly the sub-sequence of [`eval_bgp`](Self::eval_bgp)'s table
+    /// with `row[var]` in `keys`, in the same order. Returning `None`
+    /// declines — the evaluator falls back to [`eval_bgp`](Self::eval_bgp)
+    /// and the join discards the other rows itself.
+    fn eval_bgp_seeded(
+        &mut self,
+        _query: &Query,
+        _var: u32,
+        _keys: &[u32],
     ) -> Option<Result<Bindings, Self::Error>> {
         None
     }
@@ -72,14 +95,16 @@ fn eval_node<S: BgpSource>(
             Ok(b)
         }
         PlanNode::Empty { vars } => Ok(Bindings::new(vars.clone())),
-        PlanNode::Join(l, r) => Ok(compat_join(
-            &eval_node(l, source, dict, prop_vars)?,
-            &eval_node(r, source, dict, prop_vars)?,
-        )),
-        PlanNode::LeftJoin(l, r) => Ok(left_join(
-            &eval_node(l, source, dict, prop_vars)?,
-            &eval_node(r, source, dict, prop_vars)?,
-        )),
+        PlanNode::Join(l, r) => {
+            let left = eval_node(l, source, dict, prop_vars)?;
+            let right = eval_right_operand(r, &left, source, dict, prop_vars)?;
+            Ok(compat_join(&left, &right))
+        }
+        PlanNode::LeftJoin(l, r) => {
+            let left = eval_node(l, source, dict, prop_vars)?;
+            let right = eval_right_operand(r, &left, source, dict, prop_vars)?;
+            Ok(left_join(&left, &right))
+        }
         PlanNode::Union(l, r) => Ok(bag_union(
             &eval_node(l, source, dict, prop_vars)?,
             &eval_node(r, source, dict, prop_vars)?,
@@ -146,6 +171,52 @@ fn eval_node<S: BgpSource>(
     }
 }
 
+/// Evaluates the right operand of a join whose left side came out as
+/// `left`, offering a BGP leaf the left side's join keys first.
+///
+/// Leaf rows are fully bound, so one whose seeded column is outside the
+/// keys is compatible with no left row: the join of `left` with the
+/// seeded table is, row for row and in the same order, the join with the
+/// whole one. That needs every left row bound in the seeded column (an
+/// [`UNBOUND`] cell, which nested OPTIONAL/UNION produce, is compatible
+/// with every value), so such a column is never offered.
+fn eval_right_operand<S: BgpSource>(
+    node: &PlanNode,
+    left: &Bindings,
+    source: &mut S,
+    dict: &Dictionary,
+    prop_vars: &[bool],
+) -> Result<Bindings, S::Error> {
+    if let PlanNode::Bgp { query, var_map } = node {
+        if let Some((var, keys)) = seed_keys(left, var_map) {
+            if let Some(result) = source.eval_bgp_seeded(query, var, &keys) {
+                let mut b = result?;
+                b.vars = var_map.clone();
+                return Ok(b);
+            }
+        }
+    }
+    eval_node(node, source, dict, prop_vars)
+}
+
+/// The first leaf variable (leaf-local index) that `left` also binds,
+/// with the sorted distinct values `left` gives it — `None` if the two
+/// share no variable or some left row leaves that one [`UNBOUND`].
+fn seed_keys(left: &Bindings, var_map: &[u32]) -> Option<(u32, Vec<u32>)> {
+    let (local, col) = var_map
+        .iter()
+        .enumerate()
+        .find_map(|(local, &global)| Some((local, left.column_of(global)?)))?;
+    let mut keys: Vec<u32> = left.rows.iter().map(|row| row[col]).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    // UNBOUND is the largest id, so it can only sort last.
+    if keys.last() == Some(&UNBOUND) {
+        return None;
+    }
+    Some((narrow::u32_from(local), keys))
+}
+
 fn retain_matching(
     b: &mut Bindings,
     filters: &[&ResolvedFilter],
@@ -161,7 +232,9 @@ fn retain_matching(
 }
 
 /// A [`BgpSource`] over one [`LocalStore`], ordering each leaf's
-/// patterns with the [`StoreStats`](crate::planner) greedy planner.
+/// patterns with the [`StoreStats`](crate::planner) greedy planner. It
+/// declines every pushdown and seed offer: this is the plain reference
+/// the offers' takers are checked against.
 struct LocalSource<'a> {
     store: &'a LocalStore,
 }
@@ -170,7 +243,7 @@ impl BgpSource for LocalSource<'_> {
     type Error = std::convert::Infallible;
 
     fn eval_bgp(&mut self, query: &Query) -> Result<Bindings, Self::Error> {
-        let order = static_order(&query.patterns, query.var_count(), self.store.stats());
+        let order = static_order(&query.patterns, query.var_count(), self.store.stats(), None);
         Ok(evaluate_ordered(query, self.store, &order))
     }
 }
@@ -346,12 +419,30 @@ mod tests {
         assert_eq!(r.rows[0][1], vid(&g, "http://x/alice"));
     }
 
-    /// A source that refuses or accepts filter pushdown, to pin the
-    /// fallback contract.
-    struct CountingSource<'a> {
+    /// A source that refuses or accepts filter pushdown and join seeds,
+    /// to pin the fallback contracts.
+    pub(super) struct CountingSource<'a> {
         store: &'a LocalStore,
         push: bool,
         pushed_calls: usize,
+        seed: bool,
+        seeded_calls: usize,
+    }
+
+    impl<'a> CountingSource<'a> {
+        pub(super) fn new(store: &'a LocalStore, push: bool, seed: bool) -> Self {
+            CountingSource {
+                store,
+                push,
+                pushed_calls: 0,
+                seed,
+                seeded_calls: 0,
+            }
+        }
+
+        pub(super) fn seeded_calls(&self) -> usize {
+            self.seeded_calls
+        }
     }
 
     impl BgpSource for CountingSource<'_> {
@@ -376,6 +467,27 @@ mod tests {
                 .retain(|row| filters.iter().all(|f| f.accepts_ids(row, &vars)));
             Some(Ok(b))
         }
+
+        fn eval_bgp_seeded(
+            &mut self,
+            query: &Query,
+            var: u32,
+            keys: &[u32],
+        ) -> Option<Result<Bindings, Self::Error>> {
+            if !self.seed {
+                return None;
+            }
+            self.seeded_calls += 1;
+            let order = static_order(
+                &query.patterns,
+                query.var_count(),
+                self.store.stats(),
+                Some(var),
+            );
+            Some(Ok(crate::matcher::evaluate_seeded(
+                query, self.store, &order, var, keys,
+            )))
+        }
     }
 
     #[test]
@@ -389,22 +501,73 @@ mod tests {
         .resolve(g.dictionary())
         .unwrap();
         let store = LocalStore::from_graph(&g);
-        let mut pushing = CountingSource {
-            store: &store,
-            push: true,
-            pushed_calls: 0,
-        };
-        let mut declining = CountingSource {
-            store: &store,
-            push: false,
-            pushed_calls: 0,
-        };
+        let mut pushing = CountingSource::new(&store, true, false);
+        let mut declining = CountingSource::new(&store, false, false);
         let a = eval_plan(&plan, &mut pushing, g.dictionary()).unwrap();
         let b = eval_plan(&plan, &mut declining, g.dictionary()).unwrap();
         assert_eq!(pushing.pushed_calls, 1, "id-only filter was offered");
         assert_eq!(declining.pushed_calls, 0);
         assert_eq!(a.rows, b.rows, "pushed and fallback paths agree");
         assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn join_right_leaves_are_offered_the_left_keys() {
+        let g = people_graph();
+        let store = LocalStore::from_graph(&g);
+        for (text, rows) in [
+            // alice's ?q is bound by the arm, bob and carol keep UNBOUND.
+            (
+                "SELECT * WHERE { ?p x:age ?n OPTIONAL { ?p x:knows ?q } }",
+                3,
+            ),
+            ("SELECT * WHERE { ?p x:age ?n { ?p x:knows ?q } }", 1),
+            // No shared variable: a cross product, nothing to offer.
+            ("SELECT * WHERE { ?p x:age ?n { ?a x:knows ?b } }", 3),
+        ] {
+            let plan = parse(&format!("PREFIX x: <http://x/> {text}"))
+                .unwrap()
+                .resolve(g.dictionary())
+                .unwrap();
+            let mut seeding = CountingSource::new(&store, false, true);
+            let mut declining = CountingSource::new(&store, false, false);
+            let a = eval_plan(&plan, &mut seeding, g.dictionary()).unwrap();
+            let b = eval_plan(&plan, &mut declining, g.dictionary()).unwrap();
+            assert_eq!(a, b, "{text}");
+            assert_eq!(a.len(), rows, "{text}");
+            assert_eq!(
+                seeding.seeded_calls(),
+                usize::from(!text.contains("?a")),
+                "{text}"
+            );
+            assert_eq!(declining.seeded_calls(), 0);
+        }
+    }
+
+    #[test]
+    fn a_column_with_unbound_cells_is_never_offered() {
+        // The first arm binds ?q for alice only, so the second arm, which
+        // keys on ?q, must see the whole leaf: bob's and carol's UNBOUND
+        // ?q is compatible with every ?q the leaf binds.
+        let g = people_graph();
+        let store = LocalStore::from_graph(&g);
+        let plan = parse(
+            "PREFIX x: <http://x/> SELECT * WHERE { ?p x:age ?n \
+             OPTIONAL { ?p x:knows ?q } OPTIONAL { ?q x:age ?m } }",
+        )
+        .unwrap()
+        .resolve(g.dictionary())
+        .unwrap();
+        let mut seeding = CountingSource::new(&store, false, true);
+        let got = eval_plan(&plan, &mut seeding, g.dictionary()).unwrap();
+        assert_eq!(
+            seeding.seeded_calls(),
+            1,
+            "only the first arm's column is all bound"
+        );
+        assert_eq!(got, eval_plan_local(&plan, &store, g.dictionary()));
+        // alice joins bob's age; bob and carol each pair with all 3 ages.
+        assert_eq!(got.len(), 1 + 3 + 3);
     }
 
     #[test]
@@ -417,11 +580,7 @@ mod tests {
         .resolve(g.dictionary())
         .unwrap();
         let store = LocalStore::from_graph(&g);
-        let mut source = CountingSource {
-            store: &store,
-            push: true,
-            pushed_calls: 0,
-        };
+        let mut source = CountingSource::new(&store, true, false);
         let r = eval_plan(&plan, &mut source, g.dictionary()).unwrap();
         assert_eq!(source.pushed_calls, 0, "numeric filters need the dictionary");
         assert_eq!(r.len(), 1);
@@ -433,8 +592,8 @@ mod differential {
     //! Differential proptests: [`eval_plan_local`] (planner-ordered
     //! leaves + bag operators) against a naive nested-loop reference on
     //! random small graphs.
+    use super::tests::CountingSource;
     use super::*;
-    use crate::algebra::{ResolvedFilter, UNBOUND};
     use crate::parser::parse;
     use crate::query::{QLabel, QNode};
     use mpc_rdf::{GraphBuilder, RdfGraph, Triple};
@@ -595,8 +754,12 @@ mod differential {
     }
 
     /// Query texts over the generated vocabulary: a base BGP, then
-    /// OPTIONAL / UNION elements, then a FILTER — every operator pair
-    /// gets exercised across cases.
+    /// OPTIONAL / group-join / UNION elements, then a FILTER — every
+    /// operator pair gets exercised across cases. The base binds `?a0‥3`
+    /// and `?b0‥3` sparsely, so an OPTIONAL or group-join arm over
+    /// `?a{s} … ?b{o}` shares 0, 1 or 2 variables with its left side; the
+    /// chained OPTIONALs key the second arm on `?c{o}`, which the first
+    /// leaves unbound wherever it finds no match.
     fn query_strategy() -> impl Strategy<Value = String> {
         let pat = (0u32..4, 0u32..3, 0u32..4)
             .prop_map(|(s, p, o)| format!("?a{s} <http://x/p{p}> ?b{o}"));
@@ -605,6 +768,15 @@ mod differential {
             Just(String::new()),
             (0u32..4, 0u32..3, 0u32..4).prop_map(|(s, p, o)| format!(
                 " OPTIONAL {{ ?a{s} <http://x/p{p}> ?c{o} }}"
+            )),
+            (0u32..4, 0u32..3, 0u32..4).prop_map(|(s, p, o)| format!(
+                " OPTIONAL {{ ?a{s} <http://x/p{p}> ?b{o} }}"
+            )),
+            (0u32..4, 0u32..3, 0u32..4).prop_map(|(s, p, o)| format!(
+                " {{ ?a{s} <http://x/p{p}> ?b{o} }}"
+            )),
+            (0u32..4, 0u32..3, 0u32..3, 0u32..4).prop_map(|(s, p, q, o)| format!(
+                " OPTIONAL {{ ?a{s} <http://x/p{p}> ?c{o} }} OPTIONAL {{ ?c{o} <http://x/p{q}> ?d0 }}"
             )),
             (0u32..3, 0u32..3, 0u32..4).prop_map(|(p, q, o)| format!(
                 " {{ ?a0 <http://x/p{p}> ?d{o} }} UNION {{ ?a1 <http://x/p{q}> ?d{o} }}"
@@ -623,6 +795,29 @@ mod differential {
         })
     }
 
+    /// The naive reference's rows for `plan` over its output columns,
+    /// sorted (the comparison is between bags).
+    fn reference_bag(
+        plan: &ResolvedPlan,
+        store: &LocalStore,
+        dict: &mpc_rdf::Dictionary,
+    ) -> Vec<Vec<u32>> {
+        let nvars = plan.var_names.len();
+        let reference = ref_node(&plan.root, store.triples(), nvars, &plan.prop_vars, dict);
+        let out_vars = plan.out_vars();
+        let mut want: Vec<Vec<u32>> = reference
+            .iter()
+            .map(|row| {
+                out_vars
+                    .iter()
+                    .map(|&v| row[v as usize].unwrap_or(UNBOUND))
+                    .collect()
+            })
+            .collect();
+        want.sort();
+        want
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -635,23 +830,39 @@ mod differential {
             };
             let store = LocalStore::from_graph(&g);
             let got = eval_plan_local(&plan, &store, dict);
-
-            let nvars = plan.var_names.len();
-            let reference = ref_node(&plan.root, store.triples(), nvars, &plan.prop_vars, dict);
-            let out_vars = plan.out_vars();
-            let mut want: Vec<Vec<u32>> = reference
-                .iter()
-                .map(|row| {
-                    out_vars
-                        .iter()
-                        .map(|&v| row[v as usize].unwrap_or(UNBOUND))
-                        .collect()
-                })
-                .collect();
             let mut have = got.rows.clone();
-            want.sort();
             have.sort();
-            prop_assert_eq!(have, want, "query: {}", text);
+            prop_assert_eq!(have, reference_bag(&plan, &store, dict), "query: {}", text);
+        }
+    }
+
+    proptest! {
+        // Enough cases for the chained OPTIONALs to leave a keyed column
+        // partly unbound *and* have the second arm match.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A source that takes every seed offer and one that declines
+        /// them all return the same rows in the same order, and both
+        /// equal the naive reference as bags.
+        #[test]
+        fn seeding_source_matches_declining_source(
+            g in graph_strategy(),
+            text in query_strategy(),
+        ) {
+            let dict = g.dictionary();
+            let Ok(plan) = parse(&text).unwrap().resolve(dict) else {
+                return Ok(());
+            };
+            let store = LocalStore::from_graph(&g);
+            let mut seeding = CountingSource::new(&store, false, true);
+            let mut declining = CountingSource::new(&store, false, false);
+            let Ok(seeded) = eval_plan(&plan, &mut seeding, dict);
+            let Ok(plain) = eval_plan(&plan, &mut declining, dict);
+            prop_assert_eq!(declining.seeded_calls(), 0);
+            prop_assert_eq!(&seeded, &plain, "query: {}", text);
+            let mut have = seeded.rows;
+            have.sort();
+            prop_assert_eq!(have, reference_bag(&plan, &store, dict), "query: {}", text);
         }
     }
 }

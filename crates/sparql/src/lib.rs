@@ -36,13 +36,13 @@ pub use canon::{
 pub use eval::{eval_plan, eval_plan_local, BgpSource};
 pub use explain::{access_path_name, explain, render as render_plan, PlanStep};
 pub use matcher::{
-    evaluate, evaluate_observed, evaluate_ordered, evaluate_ordered_observed, MatchObserver,
-    MatchStats,
+    evaluate, evaluate_observed, evaluate_ordered, evaluate_ordered_observed, evaluate_seeded,
+    evaluate_seeded_observed, MatchObserver, MatchStats,
 };
 pub use parser::{
     is_update, numeric_value, parse, parse_update, CompareOp, Filter, FilterOperand,
     GroundTriple, QueryParseError, UpdateData,
 };
-pub use planner::{estimate, static_order};
+pub use planner::{estimate, seeding_pays, static_order};
 pub use query::{QLabel, QNode, Query, QueryBuilder, TriplePattern};
 pub use store::{LocalStore, Pattern, PropertyCard, StoreStats};

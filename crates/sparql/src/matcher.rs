@@ -124,7 +124,7 @@ pub fn evaluate_observed(
     store: &LocalStore,
     obs: &mut impl MatchObserver,
 ) -> Bindings {
-    Search::run(query, store, None, obs)
+    Search::run(query, store, None, None, obs)
 }
 
 /// Evaluates a BGP following a fixed pattern order — a static plan from
@@ -147,17 +147,58 @@ pub fn evaluate_ordered_observed(
     order: &[usize],
     obs: &mut impl MatchObserver,
 ) -> Bindings {
-    let mut seen = vec![false; query.patterns.len()];
-    assert_eq!(order.len(), query.patterns.len(), "order must cover every pattern");
+    assert_permutation(order, query.patterns.len());
+    Search::run(query, store, Some(order), None, obs)
+}
+
+/// [`evaluate_ordered`] restricted to the rows whose variable `var` takes
+/// one of `keys` — the right-hand leaf of a bind join (docs/QUERY.md).
+/// The search starts once per key with `var` already bound, so `order`
+/// should come from [`crate::planner::static_order`] seeded with `var`.
+/// The result is exactly the sub-sequence of [`evaluate_ordered`]'s table
+/// with `row[var]` in `keys`: same rows, same (sorted) order. `keys` need
+/// not occur in the store and may repeat.
+///
+/// # Panics
+/// Panics if `order` is not a permutation of `0..query.patterns.len()`
+/// or `var` is not a variable of `query`.
+pub fn evaluate_seeded(
+    query: &Query,
+    store: &LocalStore,
+    order: &[usize],
+    var: u32,
+    keys: &[u32],
+) -> Bindings {
+    evaluate_seeded_observed(query, store, order, var, keys, &mut ())
+}
+
+/// [`evaluate_seeded`], reporting search events to `obs` as it runs.
+pub fn evaluate_seeded_observed(
+    query: &Query,
+    store: &LocalStore,
+    order: &[usize],
+    var: u32,
+    keys: &[u32],
+    obs: &mut impl MatchObserver,
+) -> Bindings {
+    assert_permutation(order, query.patterns.len());
+    assert!(
+        (var as usize) < query.var_count(),
+        "seed must be a query variable"
+    );
+    Search::run(query, store, Some(order), Some((var, keys)), obs)
+}
+
+fn assert_permutation(order: &[usize], len: usize) {
+    let mut seen = vec![false; len];
+    assert_eq!(order.len(), len, "order must cover every pattern");
     for &i in order {
         assert!(
-            i < seen.len() && !seen[i],
-            "order must be a permutation of 0..{}",
-            seen.len()
+            i < len && !seen[i],
+            "order must be a permutation of 0..{len}"
         );
         seen[i] = true;
     }
-    Search::run(query, store, Some(order), obs)
 }
 
 /// The backtracking search both strategies share: one frame per matched
@@ -179,6 +220,7 @@ impl<'a, O: MatchObserver> Search<'a, O> {
         query: &'a Query,
         store: &'a LocalStore,
         order: Option<&'a [usize]>,
+        seed: Option<(u32, &[u32])>,
         obs: &'a mut O,
     ) -> Bindings {
         if query.patterns.is_empty() {
@@ -194,7 +236,16 @@ impl<'a, O: MatchObserver> Search<'a, O> {
             out: Bindings::new((0..narrow::u32_from(nvars)).collect()),
             obs,
         };
-        search.extend(0);
+        match seed {
+            None => search.extend(0),
+            // One search per key, the seeded variable bound throughout.
+            Some((var, keys)) => {
+                for &key in keys {
+                    search.binding[var as usize] = Some(key);
+                    search.extend(0);
+                }
+            }
+        }
         search.out.sort_dedup();
         search.out
     }
@@ -248,18 +299,27 @@ impl<'a, O: MatchObserver> Search<'a, O> {
             );
         }
         self.used[idx] = true;
-        for t in store.scan(&resolved) {
-            self.obs.candidate_scanned();
-            let mut bound = Bound::default();
-            if try_bind(&pat.s, t.s.0, &mut self.binding, &mut bound)
-                && try_bind_label(&pat.p, t.p.0, &mut self.binding, &mut bound)
-                && try_bind(&pat.o, t.o.0, &mut self.binding, &mut bound)
-            {
+        if let (Some(s), Some(p), Some(o)) = (resolved.s, resolved.p, resolved.o) {
+            // Nothing left to bind: a membership probe, reported as the
+            // one-element scan it stands for.
+            if store.contains(Triple::new(s, p, o)) {
+                self.obs.candidate_scanned();
                 self.extend(depth + 1);
-            } else {
-                self.obs.backtracked();
             }
-            bound.undo(&mut self.binding);
+        } else {
+            for t in store.scan(&resolved) {
+                self.obs.candidate_scanned();
+                let mut bound = Bound::default();
+                if try_bind(&pat.s, t.s.0, &mut self.binding, &mut bound)
+                    && try_bind_label(&pat.p, t.p.0, &mut self.binding, &mut bound)
+                    && try_bind(&pat.o, t.o.0, &mut self.binding, &mut bound)
+                {
+                    self.extend(depth + 1);
+                } else {
+                    self.obs.backtracked();
+                }
+                bound.undo(&mut self.binding);
+            }
         }
         self.used[idx] = false;
     }
@@ -569,6 +629,107 @@ mod tests {
         let _ = evaluate_ordered(&query, &store(), &[0, 0]);
     }
 
+    /// A dirty store over one property: base 0→1, 1→0, 2→3, 3→2 with
+    /// 3→2 tombstoned, plus novelty 4→5, 5→4 and the self-loop 6→6.
+    fn dirty_store() -> LocalStore {
+        let mut store = LocalStore::new(vec![t(0, 0, 1), t(1, 0, 0), t(2, 0, 3), t(3, 0, 2)]);
+        assert!(store.delete(t(3, 0, 2)));
+        for new in [t(4, 0, 5), t(5, 0, 4), t(6, 0, 6)] {
+            assert!(store.insert(new));
+        }
+        assert!(store.is_dirty());
+        store
+    }
+
+    #[test]
+    fn fully_bound_probe_reports_what_the_one_element_scan_did() {
+        // ?x p0 ?y . ?y p0 ?x in that order: the second pattern is fully
+        // bound at every node, so it runs as a membership probe.
+        let query = q(
+            vec![
+                TriplePattern::new(v(0), prop(0), v(1)),
+                TriplePattern::new(v(1), prop(0), v(0)),
+            ],
+            2,
+        );
+        let store = dirty_store();
+        let mut stats = MatchStats::default();
+        let got = evaluate_ordered_observed(&query, &store, &[0, 1], &mut stats);
+        assert_eq!(got, evaluate_bruteforce(&query, &store));
+        assert_eq!(
+            got.rows,
+            vec![vec![0, 1], vec![1, 0], vec![4, 5], vec![5, 4], vec![6, 6]]
+        );
+
+        // The same events, counted over the scans the probes stand for.
+        let mut want = MatchStats::default();
+        let first = Pattern {
+            p: Some(PropertyId(0)),
+            ..Pattern::any()
+        };
+        want.pattern_chosen(0, access_path_name(false, true, false), store.count(&first));
+        for edge in store.scan(&first) {
+            want.candidate_scanned();
+            let back = Pattern {
+                s: Some(edge.o),
+                p: Some(edge.p),
+                o: Some(edge.s),
+            };
+            want.pattern_chosen(1, access_path_name(true, true, true), store.count(&back));
+            for _ in store.scan(&back) {
+                want.candidate_scanned();
+                want.row_emitted();
+            }
+        }
+        assert_eq!(stats, want);
+        assert_eq!(stats.steps, 7, "one scan, then one probe per live edge");
+        assert_eq!(stats.candidates_scanned, 6 + 5);
+        assert_eq!(stats.backtracks, 0);
+    }
+
+    #[test]
+    fn seeded_search_keeps_exactly_the_keyed_rows() {
+        let store = dirty_store();
+        let edge = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
+        let full = evaluate(&edge, &store);
+        let keyed = |var: usize, keys: &[u32]| {
+            let mut want = full.clone();
+            want.rows.retain(|row| keys.contains(&row[var]));
+            want
+        };
+        // No keys, no rows — but still the leaf's columns.
+        assert_eq!(evaluate_seeded(&edge, &store, &[0], 0, &[]), keyed(0, &[]));
+        // Keys the store never held, a tombstoned edge's subject (3) and
+        // a repeated key.
+        let keys = [0, 3, 4, 4, 9, 77];
+        assert_eq!(
+            evaluate_seeded(&edge, &store, &[0], 0, &keys).rows,
+            vec![vec![0, 1], vec![4, 5]]
+        );
+        assert_eq!(
+            evaluate_seeded(&edge, &store, &[0], 1, &keys),
+            keyed(1, &keys)
+        );
+
+        // ?x p0 ?x seeded on ?x: only a keyed self-loop survives.
+        let looped = q(vec![TriplePattern::new(v(0), prop(0), v(0))], 1);
+        assert_eq!(
+            evaluate_seeded(&looped, &store, &[0], 0, &[0, 6, 9]).rows,
+            vec![vec![6]]
+        );
+
+        // A property-variable seed: keys are property ids.
+        let any_label = Query::new(
+            vec![TriplePattern::new(c(0), QLabel::Var(0), v(1))],
+            vec!["p".into(), "o".into()],
+        );
+        assert_eq!(
+            evaluate_seeded(&any_label, &store, &[0], 0, &[0, 2]).rows,
+            vec![vec![0, 1]]
+        );
+        assert!(evaluate_seeded(&any_label, &store, &[0], 0, &[1, 2]).is_empty());
+    }
+
     #[test]
     fn match_stats_merge_accumulates() {
         let mut a = MatchStats {
@@ -640,41 +801,63 @@ mod proptests {
             })
     }
 
-    /// Random small queries: patterns over ≤3 variables and small constants.
+    /// Random small queries: patterns over ≤3 vertex variables (so
+    /// `?x p ?x` occurs), one property variable, and small constants.
     fn query_strategy() -> impl Strategy<Value = Query> {
+        /// The property variable's index before dense remapping — apart
+        /// from the vertex variables', so none is both node and label.
+        const LABEL_VAR: u32 = 3;
         let node = prop_oneof![
             (0u32..3).prop_map(QNode::Var),
             (0u32..6).prop_map(|v| QNode::Const(VertexId(v))),
         ];
-        let label = (0u32..3).prop_map(|p| QLabel::Prop(PropertyId(p)));
+        // Three fixed properties to one draw of the property variable.
+        let label = (0u32..4).prop_map(|p| match p {
+            3 => QLabel::Var(LABEL_VAR),
+            p => QLabel::Prop(PropertyId(p)),
+        });
         proptest::collection::vec((node.clone(), label, node), 1..4).prop_map(|pats| {
             // Remap variables densely so every declared variable is used.
             let mut map = std::collections::HashMap::new();
             let mut names = Vec::new();
-            let remap = |n: QNode, map: &mut std::collections::HashMap<u32, u32>,
-                             names: &mut Vec<String>| match n {
-                QNode::Var(v) => {
-                    let next = names.len() as u32;
-                    let id = *map.entry(v).or_insert_with(|| {
-                        names.push(format!("v{v}"));
-                        next
-                    });
-                    QNode::Var(id)
-                }
-                c => c,
+            let mut remap = |v: u32| {
+                let next = names.len() as u32;
+                *map.entry(v).or_insert_with(|| {
+                    names.push(format!("v{v}"));
+                    next
+                })
             };
             let patterns = pats
                 .into_iter()
                 .map(|(s, p, o)| {
-                    TriplePattern::new(
-                        remap(s, &mut map, &mut names),
-                        p,
-                        remap(o, &mut map, &mut names),
-                    )
+                    let mut node = |n: QNode| match n {
+                        QNode::Var(v) => QNode::Var(remap(v)),
+                        c => c,
+                    };
+                    let (s, o) = (node(s), node(o));
+                    let p = match p {
+                        QLabel::Var(v) => QLabel::Var(remap(v)),
+                        fixed => fixed,
+                    };
+                    TriplePattern::new(s, p, o)
                 })
                 .collect();
             Query::new(patterns, names)
         })
+    }
+
+    /// A seeded Fisher–Yates permutation of `0..n`.
+    fn shuffled_order(n: usize, seed: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut state = seed | 1;
+        for i in (1..order.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let j = (state % (i as u64 + 1)) as usize;
+            order.swap(i, j);
+        }
+        order
     }
 
     proptest! {
@@ -700,20 +883,35 @@ mod proptests {
             query in query_strategy(),
             seed in any::<u64>(),
         ) {
-            // Seeded Fisher–Yates over the pattern indices.
-            let mut order: Vec<usize> = (0..query.patterns.len()).collect();
-            let mut state = seed | 1;
-            for i in (1..order.len()).rev() {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let j = (state % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
+            let order = shuffled_order(query.patterns.len(), seed);
             prop_assert_eq!(
                 evaluate_ordered(&query, &store, &order),
                 evaluate(&query, &store)
             );
+        }
+
+        /// A seeded search under any order returns the rows of the full
+        /// table whose seeded column is among the keys, in the same order
+        /// (what lets a bind join swap it in for the whole leaf). Keys
+        /// range past the ids the store holds and may be empty; the seed
+        /// may be the property variable or one a pattern repeats.
+        #[test]
+        fn seeded_equals_filtered(
+            store in store_strategy(),
+            query in query_strategy(),
+            pick in any::<u32>(),
+            keys in proptest::collection::vec(0u32..10, 0..6),
+            seeds in (any::<u64>(), any::<u64>()),
+        ) {
+            // Constant-only queries have nothing to seed.
+            prop_assume!(query.var_count() > 0);
+            let var = pick % query.var_count() as u32;
+            let n = query.patterns.len();
+            let seeded =
+                evaluate_seeded(&query, &store, &shuffled_order(n, seeds.0), var, &keys);
+            let mut want = evaluate_ordered(&query, &store, &shuffled_order(n, seeds.1));
+            want.rows.retain(|row| keys.contains(&row[var as usize]));
+            prop_assert_eq!(seeded, want);
         }
     }
 }

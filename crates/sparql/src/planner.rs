@@ -47,8 +47,19 @@ pub fn estimate(pat: &TriplePattern, stats: &StoreStats, bound: &[bool]) -> u64 
 /// index, so the order is deterministic for fixed statistics.
 ///
 /// `nvars` is the query's variable count (bounds the bound-set bitmap).
-pub fn static_order(patterns: &[TriplePattern], nvars: usize, stats: &StoreStats) -> Vec<usize> {
+/// `seed` is a variable the search starts with already bound (a seeded
+/// leaf, [`crate::matcher::evaluate_seeded`]): the order then begins at a
+/// pattern touching it.
+pub fn static_order(
+    patterns: &[TriplePattern],
+    nvars: usize,
+    stats: &StoreStats,
+    seed: Option<u32>,
+) -> Vec<usize> {
     let mut bound = vec![false; nvars];
+    if let Some(v) = seed {
+        bound[v as usize] = true;
+    }
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
     let mut order = Vec::with_capacity(patterns.len());
     while !remaining.is_empty() {
@@ -59,7 +70,8 @@ pub fn static_order(patterns: &[TriplePattern], nvars: usize, stats: &StoreStats
                 .flatten()
                 .any(|v| bound[v as usize])
         };
-        let connected_only = !order.is_empty() && remaining.iter().any(|&i| touches_bound(i));
+        // Nothing is bound before the first pattern of an unseeded order.
+        let connected_only = remaining.iter().any(|&i| touches_bound(i));
         let mut best: Option<(u64, usize, usize)> = None; // (est, pattern idx, remaining pos)
         for (pos, &i) in remaining.iter().enumerate() {
             if connected_only && !touches_bound(i) {
@@ -83,6 +95,24 @@ pub fn static_order(patterns: &[TriplePattern], nvars: usize, stats: &StoreStats
         }
     }
     order
+}
+
+/// Whether a leaf should be seeded with `keys` distinct values of one of
+/// its variables rather than scanned: true when the seeded search makes
+/// fewer starts than the unseeded search's first range holds triples, the
+/// least [`estimate`] of any pattern with nothing bound.
+pub fn seeding_pays(
+    patterns: &[TriplePattern],
+    nvars: usize,
+    stats: &StoreStats,
+    keys: usize,
+) -> bool {
+    let unbound = vec![false; nvars];
+    patterns
+        .iter()
+        .map(|pat| estimate(pat, stats, &unbound))
+        .min()
+        .is_some_and(|first_range| (keys as u64) < first_range)
 }
 
 #[cfg(test)]
@@ -125,7 +155,7 @@ mod tests {
             TriplePattern::new(v(0), prop(0), v(1)),
             TriplePattern::new(v(1), prop(1), v(2)),
         ];
-        assert_eq!(static_order(&patterns, 3, &stats()), vec![1, 0]);
+        assert_eq!(static_order(&patterns, 3, &stats(), None), vec![1, 0]);
     }
 
     #[test]
@@ -138,7 +168,7 @@ mod tests {
             TriplePattern::new(v(0), prop(1), v(1)),
             TriplePattern::new(v(1), prop(0), v(2)),
         ];
-        assert_eq!(static_order(&patterns, 5, &stats()), vec![1, 2, 0]);
+        assert_eq!(static_order(&patterns, 5, &stats(), None), vec![1, 2, 0]);
     }
 
     #[test]
@@ -148,7 +178,7 @@ mod tests {
             TriplePattern::new(v(1), QLabel::Var(2), v(0)),
             TriplePattern::new(v(0), prop(1), QNode::Const(VertexId(0))),
         ];
-        let mut order = static_order(&patterns, 3, &stats());
+        let mut order = static_order(&patterns, 3, &stats(), None);
         order.sort_unstable();
         assert_eq!(order, vec![0, 1, 2]);
     }
@@ -165,7 +195,35 @@ mod tests {
     }
 
     #[test]
+    fn a_seeded_order_starts_at_the_seed() {
+        // ?x p0 ?y . ?y p1 ?z with ?x bound up front: the frequent p0
+        // pattern touches the seed, the rare p1 pattern does not.
+        let patterns = vec![
+            TriplePattern::new(v(0), prop(0), v(1)),
+            TriplePattern::new(v(1), prop(1), v(2)),
+        ];
+        assert_eq!(static_order(&patterns, 3, &stats(), Some(0)), vec![0, 1]);
+        assert_eq!(static_order(&patterns, 3, &stats(), Some(2)), vec![1, 0]);
+    }
+
+    #[test]
+    fn seeding_pays_below_the_first_range() {
+        // The unseeded search would start from p1's single triple.
+        let patterns = vec![
+            TriplePattern::new(v(0), prop(0), v(1)),
+            TriplePattern::new(v(1), prop(1), v(2)),
+        ];
+        assert!(seeding_pays(&patterns, 3, &stats(), 0));
+        assert!(!seeding_pays(&patterns, 3, &stats(), 1));
+        // A whole-property arm: 6 triples, so up to 5 keys seed.
+        let arm = vec![TriplePattern::new(v(0), prop(0), v(1))];
+        assert!(seeding_pays(&arm, 2, &stats(), 5));
+        assert!(!seeding_pays(&arm, 2, &stats(), 6));
+        assert!(!seeding_pays(&[], 0, &stats(), 0));
+    }
+
+    #[test]
     fn empty_patterns_empty_order() {
-        assert!(static_order(&[], 0, &stats()).is_empty());
+        assert!(static_order(&[], 0, &stats(), None).is_empty());
     }
 }
