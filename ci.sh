@@ -66,6 +66,20 @@ chaos_query > "$CI_TMP/chaos.1"
 chaos_query > "$CI_TMP/chaos.2"
 cmp "$CI_TMP/chaos.1" "$CI_TMP/chaos.2"
 cat "$CI_TMP/chaos.1"
+# The anchored OPTIONAL of the serve workload below: under the same spec
+# its arm runs as a seeded leaf, so the fault layer also covers the bind
+# join. Everything but the wall-clock stats line must repeat exactly.
+echo 'SELECT ?x ?o WHERE { ?x <urn:p:8> <urn:v:1175> OPTIONAL { ?x <urn:p:0> ?o } }' \
+    > "$CI_TMP/qseed.rq"
+seeded_chaos_query() {
+    "$MPC" query --input "$CI_TMP/lubm.nt" --partitions "$CI_TMP/lubm.parts" \
+        --query "$CI_TMP/qseed.rq" --chaos "crash=0.2,slow=0.2,slow-factor=2" \
+        --seed 7 --retries 2 --deadline-ms 50 --replicas 1 | grep -v 'QDT='
+}
+seeded_chaos_query > "$CI_TMP/chaos.seed.1"
+seeded_chaos_query > "$CI_TMP/chaos.seed.2"
+cmp "$CI_TMP/chaos.seed.1" "$CI_TMP/chaos.seed.2"
+grep '^chaos:' "$CI_TMP/chaos.seed.1"
 
 echo "==> serve smoke (cached workload replay, deterministic + hitting, docs/SERVING.md)"
 cat > "$CI_TMP/workload.txt" <<'EOF'

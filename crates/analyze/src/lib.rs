@@ -16,10 +16,6 @@
 //!   has an untraced counterpart in the same crate.
 //! * [`rules::RULE_OBS_DOC`] — span/counter names used in code and the
 //!   reference tables in `docs/OBSERVABILITY.md` stay in sync, both ways.
-//! * [`rules::RULE_DEPRECATED_EXEC`] — the removed
-//!   `DistributedEngine::execute*` shim family stays gone: no definitions
-//!   anywhere, no calls outside `mpc-cluster`; execution goes through the
-//!   unified `run(query, &ExecRequest)` entry point.
 //! * [`rules::RULE_DOC_LINK`] — relative markdown links in `README.md`,
 //!   `DESIGN.md`, and `docs/*.md` resolve to real files, and every
 //!   `docs/*.md` page is reachable from `README.md` by following links.
@@ -91,7 +87,6 @@ pub fn lint_files(files: &[SourceFile], obs_doc: Option<(&str, &str)>) -> Vec<Fi
         rules::check_narrowing_casts(f, &mut out);
         rules::check_unwrap_expect(f, &mut out);
         rules::check_crate_root(f, &mut out);
-        rules::check_deprecated_exec(f, &mut out);
         rules::check_allow_directives(f, &mut out);
         concurrency::check_guard_blocking(f, &mut out);
         concurrency::check_atomic_ordering(f, &mut out);

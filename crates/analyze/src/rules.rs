@@ -18,9 +18,6 @@ pub const RULE_TRACED_COUNTERPART: &str = "traced-counterpart";
 pub const RULE_OBS_DOC: &str = "obs-doc";
 /// Rule identifier: malformed `mpc-allow` directives.
 pub const RULE_MPC_ALLOW: &str = "mpc-allow";
-/// Rule identifier: the removed `execute*` shim family — no calls
-/// outside `mpc-cluster`, no definitions anywhere.
-pub const RULE_DEPRECATED_EXEC: &str = "deprecated-exec";
 /// Rule identifier: relative markdown links must resolve, and every
 /// `docs/*.md` must be reachable from `README.md`.
 pub const RULE_DOC_LINK: &str = "doc-link";
@@ -33,7 +30,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_TRACED_COUNTERPART,
     RULE_OBS_DOC,
     RULE_MPC_ALLOW,
-    RULE_DEPRECATED_EXEC,
     RULE_DOC_LINK,
     crate::concurrency::RULE_LOCK_ORDER,
     crate::concurrency::RULE_GUARD_BLOCKING,
@@ -160,80 +156,6 @@ pub fn check_unwrap_expect(f: &SourceFile, out: &mut Vec<Finding>) {
             message: format!(
                 ".{}() in library code panics the caller; return a Result or add \
                  `// mpc-allow: unwrap-expect <why it cannot fail>`",
-                name.text
-            ),
-        });
-    }
-}
-
-/// The removed [`DistributedEngine`] shim names that the unified
-/// `run(query, &ExecRequest)` entry point replaced. Bare `execute` is
-/// deliberately absent: other engines (e.g. `VpEngine`) legitimately
-/// expose an `execute` method.
-const DEPRECATED_EXEC_METHODS: &[&str] = &[
-    "execute_mode",
-    "execute_traced",
-    "execute_fault_tolerant",
-    "execute_fault_tolerant_traced",
-];
-
-/// The `execute*` family is gone; this rule keeps it gone. Two checks:
-///
-/// * **definitions** — `fn execute_mode` (and friends) must not reappear
-///   in non-test code *anywhere*, including `mpc-cluster`, their former
-///   home. Execution knobs belong on `ExecRequest`, not in method-name
-///   combinatorics.
-/// * **call sites** — `.execute_mode(...)` etc. is flagged outside
-///   `mpc-cluster` (the crate may keep internal helpers under test).
-pub fn check_deprecated_exec(f: &SourceFile, out: &mut Vec<Finding>) {
-    if f.kind == FileKind::Test {
-        return;
-    }
-    for (name, line) in fn_definitions(f) {
-        if !DEPRECATED_EXEC_METHODS.contains(&name.as_str()) {
-            continue;
-        }
-        if f.in_test_code(line) || f.is_allowed(RULE_DEPRECATED_EXEC, line) {
-            continue;
-        }
-        out.push(Finding {
-            path: f.path.clone(),
-            line,
-            rule: RULE_DEPRECATED_EXEC,
-            message: format!(
-                "`fn {name}` redefines a removed execution shim; route the knob \
-                 through `ExecRequest` and `DistributedEngine::run`, or add \
-                 `// mpc-allow: deprecated-exec <why the name must return>`"
-            ),
-        });
-    }
-    if f.crate_name == "cluster" {
-        return;
-    }
-    let t = &f.lexed.tokens;
-    for i in 0..t.len().saturating_sub(2) {
-        if !t[i].is_punct('.') {
-            continue;
-        }
-        let name = &t[i + 1];
-        if name.kind != TokenKind::Ident
-            || !DEPRECATED_EXEC_METHODS.contains(&name.text.as_str())
-            || !t[i + 2].is_punct('(')
-        {
-            continue;
-        }
-        let line = name.line;
-        if f.in_test_code(line) || f.is_allowed(RULE_DEPRECATED_EXEC, line) {
-            continue;
-        }
-        out.push(Finding {
-            path: f.path.clone(),
-            line,
-            rule: RULE_DEPRECATED_EXEC,
-            message: format!(
-                "`.{}()` calls a removed execution shim; build an `ExecRequest` and \
-                 call `DistributedEngine::run`, or add \
-                 `// mpc-allow: deprecated-exec <why the shim is needed>`",
                 name.text
             ),
         });
@@ -712,66 +634,6 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty(), "unwrap_or is not unwrap");
-    }
-
-    #[test]
-    fn deprecated_exec_flagged_outside_cluster_only() {
-        let src = "fn f(e: &E, q: &Q) { e.execute_mode(q, m); e.execute(q); }\n";
-        let mut out = Vec::new();
-        check_deprecated_exec(&lib_file(src), &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, RULE_DEPRECATED_EXEC);
-        assert!(out[0].message.contains("execute_mode"));
-
-        out.clear();
-        let in_cluster = SourceFile::parse(
-            "crates/cluster/src/a.rs",
-            "cluster",
-            FileKind::Lib,
-            false,
-            src,
-        );
-        check_deprecated_exec(&in_cluster, &mut out);
-        assert!(out.is_empty(), "the shims' home crate may call them");
-
-        out.clear();
-        check_deprecated_exec(
-            &lib_file(
-                "fn f(e: &E, q: &Q) { e.execute_fault_tolerant(q) } \
-                 // mpc-allow: deprecated-exec migration pending\n",
-            ),
-            &mut out,
-        );
-        assert!(out.is_empty(), "mpc-allow suppresses the finding");
-    }
-
-    #[test]
-    fn deprecated_exec_definitions_flagged_everywhere() {
-        // Even the shims' former home crate may not bring the names back.
-        let src = "impl DistributedEngine { pub fn execute_mode(&self) {} }\n";
-        let in_cluster = SourceFile::parse(
-            "crates/cluster/src/a.rs",
-            "cluster",
-            FileKind::Lib,
-            false,
-            src,
-        );
-        let mut out = Vec::new();
-        check_deprecated_exec(&in_cluster, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("redefines"));
-
-        out.clear();
-        check_deprecated_exec(
-            &lib_file("pub fn execute(q: &Q) {}\npub fn execute_plan() {}\n"),
-            &mut out,
-        );
-        assert!(out.is_empty(), "bare `execute` and other names stay legal");
-
-        out.clear();
-        let test_file = SourceFile::parse("crates/x/tests/t.rs", "x", FileKind::Test, false, src);
-        check_deprecated_exec(&test_file, &mut out);
-        assert!(out.is_empty(), "test code may define doubles");
     }
 
     #[test]

@@ -10,8 +10,8 @@ use mpc_analyze::concurrency::{
     RULE_ATOMIC_ORDERING, RULE_GUARD_BLOCKING, RULE_LOCK_ORDER, RULE_UNSAFE_BUDGET,
 };
 use mpc_analyze::rules::{
-    check_doc_links, RULE_CRATE_ROOT, RULE_DEPRECATED_EXEC, RULE_DOC_LINK, RULE_MPC_ALLOW,
-    RULE_NARROWING_CAST, RULE_OBS_DOC, RULE_TRACED_COUNTERPART, RULE_UNWRAP_EXPECT,
+    check_doc_links, RULE_CRATE_ROOT, RULE_DOC_LINK, RULE_MPC_ALLOW, RULE_NARROWING_CAST,
+    RULE_OBS_DOC, RULE_TRACED_COUNTERPART, RULE_UNWRAP_EXPECT,
 };
 use mpc_analyze::{lint_files, lint_workspace, render_report, FileKind, SourceFile};
 
@@ -76,17 +76,6 @@ fn traced_counterpart_fixture_trips_only_that_rule() {
     assert_single(
         &lint_fixture("traced_counterpart.rs", false),
         RULE_TRACED_COUNTERPART,
-    );
-}
-
-#[test]
-fn deprecated_exec_fixture_trips_only_that_rule() {
-    let findings = lint_fixture("deprecated_exec.rs", false);
-    assert_single(&findings, RULE_DEPRECATED_EXEC);
-    assert!(
-        findings[0].message.contains("execute_mode"),
-        "finding should name the shim:\n{}",
-        render_report(&findings)
     );
 }
 

@@ -10,18 +10,23 @@
 //!   every subquery on every site in parallel, unions per subquery, and
 //!   joins the subquery results at the coordinator.
 //!
-//! Sites run as real threads on the bounded deterministic `mpc-par`
-//! pool (`MPC_THREADS` / [`ExecRequest::threads`]); the reported LET is
-//! the slowest site's measured evaluation time, matching a cluster where
-//! sites proceed in parallel. Result shipping is charged to the
+//! Both shapes run one pipeline per BGP leaf: look the leaf's plan up,
+//! fan one request chain per fragment out over the bounded deterministic
+//! `mpc-par` pool (`MPC_THREADS` / [`ExecRequest::threads`]), union what
+//! the sites return per subquery, and join only a decomposed leaf. Every
+//! site is reached through the same site step ([`Site::respond`] is its
+//! unplanned form), under the plan's static join order. Without a fault
+//! layer a chain is one attempt on the fragment's primary site; with one
+//! it retries and fails over (docs/FAULT_TOLERANCE.md). The reported LET
+//! is the slowest site's measured evaluation time, matching a cluster
+//! where sites proceed in parallel. Result shipping is charged to the
 //! simulated [`NetworkModel`].
 //!
-//! The single entry point is [`DistributedEngine::run`], driven by an
+//! The entry points are [`DistributedEngine::run`] for one BGP and
+//! [`DistributedEngine::run_plan`] for an algebra plan, both driven by an
 //! [`ExecRequest`] (mode, tracing, fault handling, threads, caching) and
-//! returning an [`ExecOutcome`]. The historical `execute*` method family
-//! is gone; the `deprecated-exec` lint (`mpc analyze`) keeps both its
-//! call sites *and* its method names from reappearing. For cached
-//! serving on top of this entry point, see [`crate::serve::ServeEngine`].
+//! returning an [`ExecOutcome`]. For cached serving on top of them, see
+//! [`crate::serve::ServeEngine`].
 
 use crate::decompose::{decompose_crossing_aware, decompose_stars, Subquery};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, SiteError};
@@ -29,18 +34,18 @@ use crate::ieq::{classify, is_khop_executable, CrossingSet, IeqClass};
 use crate::network::{NetworkModel, COORDINATOR};
 use crate::retry::{RetryPolicy, SimClock};
 use crate::semijoin;
-use crate::site::Site;
+use crate::site::{Site, SiteRequest, SiteResponse};
 use crate::stats::{ExecutionStats, FaultStats};
 use crate::wire;
 use mpc_core::Partitioning;
 use mpc_obs::Recorder;
 use mpc_rdf::{Dictionary, FxHashMap, RdfGraph};
 use mpc_sparql::{
-    eval_plan, evaluate_ordered, evaluate_ordered_observed, evaluate_seeded_observed, join_all,
-    seeding_pays, static_order, BgpSource, Bindings, LocalStore, MatchObserver, MatchStats, Query,
-    ResolvedFilter, ResolvedPlan, StoreStats, TriplePattern,
+    eval_plan, join_all, seeding_pays, static_order, BgpSource, Bindings, MatchObserver,
+    MatchStats, Query, ResolvedFilter, ResolvedPlan, StoreStats, TriplePattern,
 };
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,7 +73,7 @@ pub enum FaultSpec {
     /// engine). The default.
     #[default]
     Inherit,
-    /// Force the infallible path, even on an armed engine.
+    /// Run without a fault layer, even on an armed engine.
     Disabled,
     /// A per-request chaos layer: this request (only) runs against `plan`
     /// with the given countermeasures; the plan's `cut_sites` are applied
@@ -178,8 +183,8 @@ impl ExecRequest {
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct ExecOutcome {
-    /// The assembled result. `bindings.complete` is always true on the
-    /// infallible path; under faults it follows the graceful-degradation
+    /// The assembled result. `bindings.complete` is always true without a
+    /// fault layer; under faults it follows the graceful-degradation
     /// contract of [`PartialBindings`].
     pub bindings: PartialBindings,
     /// Timing, volume, and fault accounting.
@@ -208,12 +213,10 @@ impl ExecOutcome {
 pub(crate) struct CachedPlan {
     class: IeqClass,
     subqueries: Option<Arc<Vec<Subquery>>>,
-    /// Pattern order for independent execution of the whole query
-    /// (starting from the seed variable in a seeded leaf's entry).
-    order: Arc<Vec<usize>>,
-    /// Pattern order per subquery (parallel to `subqueries`; empty when
-    /// the query runs independently).
-    sub_orders: Arc<Vec<Vec<usize>>>,
+    /// One pattern order per query the sites evaluate: the whole query
+    /// (starting from the seed variable in a seeded leaf's entry) when it
+    /// runs independently, else each subquery in `subqueries` order.
+    orders: Arc<Vec<Vec<usize>>>,
 }
 
 /// Plan-cache key: (pattern list, crossing-aware?, the variable a seeded
@@ -239,6 +242,7 @@ pub struct PartialBindings {
 
 /// Fault-tolerance configuration: an injector (the simulated failure
 /// source) plus the coordinator's countermeasures.
+#[derive(Clone)]
 struct FaultLayer {
     injector: FaultInjector,
     policy: RetryPolicy,
@@ -250,66 +254,16 @@ struct FaultLayer {
     graceful: bool,
 }
 
-/// Everything one fragment's request chain produced: the decoded tables
-/// (`None` if every host and retry was exhausted) plus the deterministic
-/// fault accounting.
-struct FragmentOutcome {
-    tables: Option<Vec<Bindings>>,
-    eval_time: Duration,
-    bytes: u64,
-    messages: u64,
-    attempts: u64,
-    retries: u64,
-    failovers: u64,
-    injected: u64,
-    penalty: Duration,
-    error: Option<SiteError>,
-}
-
-/// Fragment outcomes folded into per-query totals.
-struct FoldedOutcomes {
-    /// Per-fragment tables, `None` where the fragment failed.
-    tables: Vec<Option<Vec<Bindings>>>,
-    faults: FaultStats,
-    local_eval_time: Duration,
-    comm_bytes: u64,
-    messages: u64,
-    failed_sites: Vec<u16>,
-    first_error: Option<SiteError>,
-}
-
-fn fold_outcomes(outcomes: Vec<FragmentOutcome>) -> FoldedOutcomes {
-    let mut folded = FoldedOutcomes {
-        tables: Vec::with_capacity(outcomes.len()),
-        faults: FaultStats::default(),
-        local_eval_time: Duration::ZERO,
-        comm_bytes: 0,
-        messages: 0,
-        failed_sites: Vec::new(),
-        first_error: None,
-    };
-    for (i, out) in outcomes.into_iter().enumerate() {
-        folded.faults.attempts += out.attempts;
-        folded.faults.retries += out.retries;
-        folded.faults.failovers += out.failovers;
-        folded.faults.injected += out.injected;
-        // Fragments recover in parallel: the slowest chain gates the stage.
-        folded.faults.penalty = folded.faults.penalty.max(out.penalty);
-        folded.local_eval_time = folded.local_eval_time.max(out.eval_time);
-        if out.tables.is_none() {
-            folded.failed_sites.push(narrow::u16_from(i));
-            if folded.first_error.is_none() {
-                folded.first_error = out.error;
-            }
-        } else {
-            folded.comm_bytes += out.bytes;
-            folded.messages += out.messages;
-        }
-        folded.tables.push(out.tables);
-    }
-    folded.faults.failed_fragments = folded.failed_sites.len() as u64;
-    folded.faults.degraded = !folded.failed_sites.is_empty();
-    folded
+/// One request, resolved once: what [`DistributedEngine::run`] and every
+/// leaf of [`DistributedEngine::run_plan`] execute under.
+struct Ctx<'a> {
+    mode: ExecMode,
+    rec: &'a Recorder,
+    threads: usize,
+    /// The fault layer in effect: the engine's, the request's own, or none.
+    layer: Option<Cow<'a, FaultLayer>>,
+    /// The network model, with a per-request layer's cut sites applied.
+    network: NetworkModel,
 }
 
 /// A simulated distributed SPARQL engine over a vertex-disjoint
@@ -332,7 +286,8 @@ pub struct DistributedEngine {
     /// build time (crossing-edge replicas are counted once per site, so
     /// counts are upper bounds — fine for comparing plan candidates).
     pub(crate) stats: StoreStats,
-    /// Fault-tolerance layer; `None` on the (default) infallible path.
+    /// Fault-tolerance layer; `None` (the default) runs every request
+    /// chain as one attempt on the fragment's primary site.
     fault: Option<FaultLayer>,
     /// Monotone query number — a coordinate of every fault decision, so a
     /// workload's fault sequence is reproducible query by query.
@@ -523,8 +478,7 @@ impl DistributedEngine {
         }
     }
 
-    /// Executes one request — the single entry point replacing the old
-    /// `execute*` family.
+    /// Executes one BGP request through the leaf pipeline.
     ///
     /// * With no effective fault layer ([`FaultSpec::Disabled`], or
     ///   [`FaultSpec::Inherit`] on an unarmed engine) this never errors
@@ -541,64 +495,24 @@ impl DistributedEngine {
     /// pool; see [`ExecRequest::threads`] for the knobs and
     /// docs/PARALLELISM.md for the bit-identical-results contract.
     pub fn run(&self, query: &Query, req: &ExecRequest) -> Result<ExecOutcome, SiteError> {
-        let threads = mpc_par::resolve_threads(req.threads);
-        let rec = &req.recorder;
-        rec.set("par.threads", threads as u64);
-        let custom_layer;
-        let (layer, network) = match &req.fault {
-            FaultSpec::Disabled => (None, self.network),
-            FaultSpec::Inherit => (self.fault.as_ref(), self.network),
-            FaultSpec::Custom {
-                plan,
-                policy,
-                replicas,
-                graceful,
-            } => {
-                let network = self.network.with_links_down(&plan.cut_sites);
-                custom_layer = FaultLayer {
-                    injector: FaultInjector::new(plan.clone()),
-                    policy: *policy,
-                    replicas: *replicas,
-                    graceful: *graceful,
-                };
-                (Some(&custom_layer), network)
-            }
-        };
-        match layer {
-            None => {
-                let (rows, stats) =
-                    self.exec_infallible(query, req.mode, rec, threads, Pushed::default());
-                Ok(ExecOutcome {
-                    bindings: PartialBindings {
-                        rows,
-                        complete: true,
-                        failed_sites: Vec::new(),
-                    },
-                    stats,
-                })
-            }
-            Some(layer) => {
-                let (bindings, stats) =
-                    self.exec_fault_tolerant(query, req.mode, rec, threads, layer, &network)?;
-                Ok(ExecOutcome { bindings, stats })
-            }
-        }
+        self.exec_leaf(query, &self.resolve(req), Pushed::default())
     }
 
     /// Executes a resolved algebra plan ([`mpc_sparql::parse`] →
     /// [`mpc_sparql::Algebra::resolve`]) distributedly: each BGP leaf
-    /// goes through [`Self::run`] — reusing the plan cache, IEQ
-    /// classification, and per-leaf static join orders — and the
+    /// takes the pipeline behind [`Self::run`] — reusing the plan cache,
+    /// IEQ classification, and per-leaf static join orders — and the
     /// OPTIONAL / UNION / FILTER / ORDER BY structure above the leaves
     /// is combined on the coordinator with the bag operators of
     /// [`mpc_sparql::algebra`].
     ///
     /// Id-only FILTERs sitting directly on an *independent* leaf are
     /// pushed into the sites (partition-local evaluation; counted under
-    /// `query.pushdown.*`) unless a fault layer is in effect — faulty
-    /// requests keep the plain leaf path so the chaos contract stays
-    /// byte-identical with the uncached reference. Plan shape is
-    /// recorded under `query.algebra.*`.
+    /// `query.pushdown.*`), and an independent right-hand join leaf is
+    /// seeded with the left side's keys (`query.seed.*`), with or without
+    /// a fault layer: either way the leaf executes exactly once, so the
+    /// fault draws are the ones a declining source would see. Plan shape
+    /// is recorded under `query.algebra.*`.
     ///
     /// The aggregated [`ExecutionStats`] sum times/bytes across leaves;
     /// `class` is the first leaf's classification and `independent` is
@@ -618,11 +532,9 @@ impl DistributedEngine {
             });
             rec.set("query.algebra.nodes", nodes);
         }
-        let pushdown_ok = !self.fault_effective(req);
         let mut source = EngineSource {
             engine: self,
-            req,
-            pushdown_ok,
+            ctx: self.resolve(req),
             agg: None,
             complete: true,
             failed_sites: Vec::new(),
@@ -658,7 +570,7 @@ impl DistributedEngine {
     }
 
     /// True if `req` resolves to an active fault layer on this engine.
-    fn fault_effective(&self, req: &ExecRequest) -> bool {
+    pub(crate) fn fault_effective(&self, req: &ExecRequest) -> bool {
         match &req.fault {
             FaultSpec::Disabled => false,
             FaultSpec::Inherit => self.fault.is_some(),
@@ -666,86 +578,235 @@ impl DistributedEngine {
         }
     }
 
-    /// The infallible execution path: QDT / per-site LET / comm / join
-    /// breakdown plus plan-cache, semijoin, and matcher counters under
-    /// `query.*`. With a disabled recorder, sites run the unobserved
-    /// matcher and nothing is formatted or allocated.
+    /// Resolves `req` once: its thread budget (recorded as `par.threads`)
+    /// and the fault layer and network model it runs against.
+    fn resolve<'a>(&'a self, req: &'a ExecRequest) -> Ctx<'a> {
+        let threads = mpc_par::resolve_threads(req.threads);
+        req.recorder.set("par.threads", threads as u64);
+        let (layer, network) = match &req.fault {
+            FaultSpec::Disabled => (None, self.network),
+            FaultSpec::Inherit => (self.fault.as_ref().map(Cow::Borrowed), self.network),
+            FaultSpec::Custom {
+                plan,
+                policy,
+                replicas,
+                graceful,
+            } => (
+                Some(Cow::Owned(FaultLayer {
+                    injector: FaultInjector::new(plan.clone()),
+                    policy: *policy,
+                    replicas: *replicas,
+                    graceful: *graceful,
+                })),
+                self.network.with_links_down(&plan.cut_sites),
+            ),
+        };
+        Ctx {
+            mode: req.mode,
+            rec: &req.recorder,
+            threads,
+            layer,
+            network,
+        }
+    }
+
+    /// The one leaf pipeline: plan-cache lookup (QDT), one request chain
+    /// per fragment on the `mpc-par` pool, a union per subquery, a join
+    /// for a decomposed leaf only, then the leaf's [`ExecutionStats`] and
+    /// `query.*` metrics. With a disabled recorder the sites run the
+    /// unobserved matcher and nothing is formatted. See [`Self::run`] for
+    /// the fault contract.
     ///
     /// `pushed` is what [`Self::run_plan`] moved into the sites for this
     /// leaf; anything but the default requires an independent `query`.
-    fn exec_infallible(
+    fn exec_leaf(
         &self,
         query: &Query,
-        mode: ExecMode,
-        rec: &Recorder,
-        threads: usize,
+        ctx: &Ctx<'_>,
         pushed: Pushed<'_>,
-    ) -> (Bindings, ExecutionStats) {
+    ) -> Result<ExecOutcome, SiteError> {
+        let rec = ctx.rec;
         let qdt_span = rec.span("query.qdt");
         let t0 = Instant::now();
-        let plan_entry = self.lookup_plan(query, mode, pushed.seed.map(|(var, _)| var), rec);
-        let class = plan_entry.class;
-        let plan: Option<Arc<Vec<Subquery>>> = plan_entry.subqueries;
+        let plan = self.lookup_plan(query, ctx.mode, pushed.seed.map(|(var, _)| var), rec);
         let decomposition_time = t0.elapsed();
         drop(qdt_span);
 
-        let (result, stats) = match plan {
-            None => {
-                let (result, local_eval_time, comm_bytes, comm_time) =
-                    self.run_everywhere_and_union(query, &plan_entry.order, pushed, rec, threads);
-                let stats = ExecutionStats {
-                    class,
-                    independent: true,
-                    subqueries: 1,
-                    decomposition_time,
-                    local_eval_time,
-                    join_time: Duration::ZERO,
-                    comm_bytes,
-                    comm_time,
-                    result_rows: result.len(),
-                    faults: FaultStats::default(),
-                };
-                (result, stats)
-            }
-            Some(subqueries) => {
+        let subqueries = plan.subqueries.as_deref();
+        let queries: Vec<&Query> = match subqueries {
+            None => vec![query],
+            Some(subs) => {
                 debug_assert!(pushed.filters.is_empty() && pushed.seed.is_none());
-                let (tables, local_eval_time, comm_bytes, comm_time) =
-                    self.run_subqueries(&subqueries, &plan_entry.sub_orders, rec, threads);
-                let join_span = rec.span("query.join");
-                let t_join = Instant::now();
-                // Join smaller tables first.
-                let mut ordered = tables;
-                ordered.sort_by_key(Bindings::len);
-                let joined = join_all(&ordered);
-                // Normalize the column order to the full variable space so
-                // callers see the same layout as independent execution.
-                let all_vars: Vec<u32> = (0..narrow::u32_from(query.var_count())).collect();
-                let result = joined.project(&all_vars);
-                let join_time = t_join.elapsed();
-                drop(join_span);
-                let stats = ExecutionStats {
-                    class,
-                    independent: false,
-                    subqueries: subqueries.len(),
-                    decomposition_time,
-                    local_eval_time,
-                    join_time,
-                    comm_bytes,
-                    comm_time,
-                    result_rows: result.len(),
-                    faults: FaultStats::default(),
-                };
-                (result, stats)
+                subs.iter().map(|sq| &sq.query).collect()
             }
         };
-        if rec.is_enabled() {
+        let site_req = SiteRequest {
+            queries: &queries,
+            orders: &plan.orders,
+            filters: pushed.filters,
+            seed: pushed.seed,
+        };
+        // Fault decisions are keyed on the query number, so only a request
+        // with a fault layer draws one.
+        let chaos = ctx.layer.as_deref().map(|layer| {
+            // ordering: sequence source for fault-draw coordinates; only the
+            // RMW's uniqueness matters, no other data is published through it.
+            (layer, self.query_seq.fetch_add(1, Ordering::Relaxed))
+        });
+        let observe = rec.is_enabled();
+        let (outcomes, pstats) = mpc_par::par_map_stats(ctx.threads, &self.sites, |i, _| {
+            if observe {
+                let mut mstats = MatchStats::default();
+                let out = self.request_fragment(chaos, &ctx.network, i, &site_req, &mut mstats);
+                (out, Some(mstats))
+            } else {
+                let out = self.request_fragment(chaos, &ctx.network, i, &site_req, &mut ());
+                (out, None)
+            }
+        });
+
+        // Workers never touch the recorder: fragment results fold here on
+        // the coordinator thread, in fragment order, so stats and
+        // `--profile` reports are reproducible for any thread count.
+        let mut faults = FaultStats::default();
+        let mut local_eval_time = Duration::ZERO;
+        let mut site_bytes = 0u64;
+        let mut messages = 0u64;
+        let mut failed_sites = Vec::new();
+        let mut first_error = None;
+        let mut match_total = MatchStats::default();
+        let mut runs: Vec<Vec<Vec<Vec<u32>>>> = vec![Vec::new(); queries.len()];
+        for (i, ((served, chain), mstats)) in outcomes.into_iter().enumerate() {
+            faults.attempts += chain.attempts;
+            faults.retries += chain.retries;
+            faults.failovers += chain.failovers;
+            faults.injected += chain.injected;
+            // Fragments recover in parallel: the slowest chain gates the stage.
+            faults.penalty = faults.penalty.max(chain.penalty);
+            if let Some(mstats) = mstats {
+                match_total.merge(&mstats);
+            }
+            match served {
+                Ok(resp) => {
+                    if observe {
+                        rec.record(&format!("query.let.site{i}"), resp.eval_time);
+                    }
+                    local_eval_time = local_eval_time.max(resp.eval_time);
+                    site_bytes += resp.bytes;
+                    messages += queries.len() as u64;
+                    for (into, table) in runs.iter_mut().zip(resp.tables) {
+                        into.push(table.rows);
+                    }
+                }
+                Err(e) => {
+                    failed_sites.push(narrow::u16_from(i));
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        // In strict mode a fragment that stayed unreachable fails the query.
+        if let (Some((layer, _)), Some(err)) = (chaos, first_error) {
+            if !layer.graceful {
+                return Err(err);
+            }
+        }
+
+        // Sites return strictly sorted tables, so each subquery's union
+        // (crossing-edge replicas can duplicate matches) is a merge.
+        let all_vars = || (0..narrow::u32_from(query.var_count())).collect::<Vec<u32>>();
+        let mut tables: Vec<Bindings> = runs
+            .into_iter()
+            .enumerate()
+            .map(|(j, runs)| {
+                let vars = subqueries.map_or_else(all_vars, |subs| subs[j].parent_vars.clone());
+                Bindings::union_sorted(vars, runs)
+            })
+            .collect();
+        let mut comm_bytes = 0u64;
+        if let Some((_, keys)) = pushed.seed {
+            // The keys travel with every site's request.
+            comm_bytes += self.sites.len() as u64 * wire::encoded_len(keys.len(), 1);
+            rec.incr("query.seed.leaves");
+            rec.add("query.seed.keys", keys.len() as u64);
+        }
+        if !pushed.filters.is_empty() {
+            rec.add("query.pushdown.site_evals", self.sites.len() as u64);
+            rec.add("query.pushdown.filters", pushed.filters.len() as u64);
+        }
+        let (rows, join_time) = if subqueries.is_none() {
+            comm_bytes += site_bytes;
+            (tables.swap_remove(0), Duration::ZERO)
+        } else {
+            // A decomposed leaf ships its per-subquery unions, after the
+            // optional Bloom pass that models sites exchanging filters and
+            // pruning before they send.
+            if self.semijoin_reduction {
+                comm_bytes += self.bloom_reduce(&mut tables, rec);
+            }
+            for table in &tables {
+                comm_bytes += wire::encoded_len(table.len(), table.vars.len());
+            }
+            let join_span = rec.span("query.join");
+            let t_join = Instant::now();
+            // Join smaller tables first, then normalize the column order to
+            // the full variable space, the layout of independent execution.
+            tables.sort_by_key(Bindings::len);
+            let rows = join_all(&tables).project(&all_vars());
+            let join_time = t_join.elapsed();
+            drop(join_span);
+            (rows, join_time)
+        };
+        let comm_time = match chaos {
+            Some((layer, query_seq)) => ctx.network.transfer_time_seeded(
+                comm_bytes,
+                messages,
+                layer.injector.plan().seed ^ query_seq,
+            ),
+            None => ctx.network.transfer_time(comm_bytes, messages),
+        };
+        faults.failed_fragments = failed_sites.len() as u64;
+        faults.degraded = !failed_sites.is_empty();
+        let stats = ExecutionStats {
+            class: plan.class,
+            independent: subqueries.is_none(),
+            subqueries: queries.len(),
+            decomposition_time,
+            local_eval_time,
+            join_time,
+            comm_bytes,
+            comm_time,
+            result_rows: rows.len(),
+            faults,
+        };
+        if observe {
+            rec.add("par.tasks", pstats.tasks as u64);
+            rec.add("par.chunks", pstats.chunks);
+            record_match_stats(rec, &match_total);
             rec.set("query.subqueries", stats.subqueries as u64);
-            rec.set("query.independent", stats.independent as u64);
+            rec.set("query.independent", u64::from(stats.independent));
             rec.set("query.result_rows", stats.result_rows as u64);
             rec.record("query.let", stats.local_eval_time);
             rec.record("query.comm", stats.comm_time);
+            rec.add("query.comm.bytes", stats.comm_bytes);
+            rec.add("query.comm.messages", messages);
+            if chaos.is_some() {
+                rec.add("query.fault.attempts", faults.attempts);
+                rec.add("query.fault.retries", faults.retries);
+                rec.add("query.fault.failovers", faults.failovers);
+                rec.add("query.fault.injected", faults.injected);
+                rec.add("query.fault.failed_sites", faults.failed_fragments);
+                rec.set("query.fault.degraded", u64::from(faults.degraded));
+                rec.record("query.fault.penalty", faults.penalty);
+            }
         }
-        (result, stats)
+        Ok(ExecOutcome {
+            bindings: PartialBindings {
+                rows,
+                complete: failed_sites.is_empty(),
+                failed_sites,
+            },
+            stats,
+        })
     }
 
     /// Plan-cache lookup: classification, (for non-IEQs) decomposition,
@@ -764,261 +825,70 @@ impl DistributedEngine {
             seed,
         );
         let cached = self.plans.lock().get(&key).cloned();
-        match cached {
-            Some(p) => {
-                rec.incr("query.plan_cache.hits");
-                p
-            }
-            None => {
-                rec.incr("query.plan_cache.misses");
-                let class = self.classify(query);
-                let subqueries = if self.is_independent(query, mode) {
-                    None
-                } else {
-                    Some(Arc::new(match mode {
-                        ExecMode::CrossingAware => {
-                            decompose_crossing_aware(query, &self.crossing)
-                        }
-                        ExecMode::StarOnly => decompose_stars(query),
-                    }))
-                };
-                let order = Arc::new(static_order(
-                    &query.patterns,
-                    query.var_count(),
-                    &self.stats,
-                    seed,
-                ));
-                let sub_orders = Arc::new(subqueries.as_deref().map_or_else(Vec::new, |subs| {
-                    subs.iter()
-                        .map(|sq| {
-                            static_order(
-                                &sq.query.patterns,
-                                sq.query.var_count(),
-                                &self.stats,
-                                None,
-                            )
-                        })
-                        .collect()
-                }));
-                let entry = CachedPlan {
-                    class,
-                    subqueries,
-                    order,
-                    sub_orders,
-                };
-                self.plans.lock().insert(key, entry.clone());
-                entry
-            }
+        if let Some(plan) = cached {
+            rec.incr("query.plan_cache.hits");
+            return plan;
         }
-    }
-
-    /// The fault-tolerant execution path: every fragment request can
-    /// crash, stall past its deadline, corrupt its payload, be shed, or
-    /// straggle, per `layer`'s [`FaultPlan`]; the coordinator answers with
-    /// bounded retries (exponential backoff + seeded jitter, charged to a
-    /// simulated clock), failover along each fragment's replica chain, and
-    /// — in graceful mode — explicit partial results. See [`Self::run`]
-    /// for the soundness contract.
-    fn exec_fault_tolerant(
-        &self,
-        query: &Query,
-        mode: ExecMode,
-        rec: &Recorder,
-        threads: usize,
-        layer: &FaultLayer,
-        network: &NetworkModel,
-    ) -> Result<(PartialBindings, ExecutionStats), SiteError> {
-        let qdt_span = rec.span("query.qdt");
-        let t0 = Instant::now();
-        let plan_entry = self.lookup_plan(query, mode, None, rec);
-        let class = plan_entry.class;
-        let decomposition_time = t0.elapsed();
-        drop(qdt_span);
-        // ordering: sequence source for comm-seed derivation; only the
-        // RMW's uniqueness matters, no other data is published through it.
-        let query_seq = self.query_seq.fetch_add(1, Ordering::Relaxed);
-        let comm_seed = layer.injector.plan().seed ^ query_seq;
-
-        let (result, stats) = match plan_entry.subqueries {
-            None => {
-                let folded = fold_outcomes(self.request_all_fragments(
-                    layer,
-                    network,
-                    query_seq,
-                    &[query],
-                    threads,
-                    rec,
-                ));
-                if let Some(err) = self.strict_failure(layer, &folded) {
-                    return Err(err);
-                }
-                let result = Bindings::union_sorted(
-                    (0..narrow::u32_from(query.var_count())).collect(),
-                    folded
-                        .tables
-                        .into_iter()
-                        .flatten()
-                        .flatten()
-                        .map(|table| table.rows)
-                        .collect(),
-                );
-                let comm_time = network.transfer_time_seeded(
-                    folded.comm_bytes,
-                    folded.messages,
-                    comm_seed,
-                );
-                let stats = ExecutionStats {
-                    class,
-                    independent: true,
-                    subqueries: 1,
-                    decomposition_time,
-                    local_eval_time: folded.local_eval_time,
-                    join_time: Duration::ZERO,
-                    comm_bytes: folded.comm_bytes,
-                    comm_time,
-                    result_rows: result.len(),
-                    faults: folded.faults,
-                };
-                let partial = PartialBindings {
-                    rows: result,
-                    complete: !folded.faults.degraded,
-                    failed_sites: folded.failed_sites,
-                };
-                (partial, stats)
-            }
-            Some(subqueries) => {
-                let sub_refs: Vec<&Query> = subqueries.iter().map(|sq| &sq.query).collect();
-                let folded = fold_outcomes(self.request_all_fragments(
-                    layer,
-                    network,
-                    query_seq,
-                    &sub_refs,
-                    threads,
-                    rec,
-                ));
-                if let Some(err) = self.strict_failure(layer, &folded) {
-                    return Err(err);
-                }
-                let mut merged =
-                    union_per_subquery(&subqueries, folded.tables.into_iter().flatten());
-                let comm_time = network.transfer_time_seeded(
-                    folded.comm_bytes,
-                    folded.messages,
-                    comm_seed,
-                );
-                let join_span = rec.span("query.join");
-                let t_join = Instant::now();
-                merged.sort_by_key(Bindings::len);
-                let joined = join_all(&merged);
-                let all_vars: Vec<u32> = (0..narrow::u32_from(query.var_count())).collect();
-                let result = joined.project(&all_vars);
-                let join_time = t_join.elapsed();
-                drop(join_span);
-                let stats = ExecutionStats {
-                    class,
-                    independent: false,
-                    subqueries: subqueries.len(),
-                    decomposition_time,
-                    local_eval_time: folded.local_eval_time,
-                    join_time,
-                    comm_bytes: folded.comm_bytes,
-                    comm_time,
-                    result_rows: result.len(),
-                    faults: folded.faults,
-                };
-                let partial = PartialBindings {
-                    rows: result,
-                    complete: !folded.faults.degraded,
-                    failed_sites: folded.failed_sites,
-                };
-                (partial, stats)
-            }
-        };
-        if rec.is_enabled() {
-            rec.set("query.subqueries", stats.subqueries as u64);
-            rec.set("query.independent", u64::from(stats.independent));
-            rec.set("query.result_rows", stats.result_rows as u64);
-            rec.record("query.let", stats.local_eval_time);
-            rec.record("query.comm", stats.comm_time);
-            rec.add("query.comm.bytes", stats.comm_bytes);
-            rec.add("query.fault.attempts", stats.faults.attempts);
-            rec.add("query.fault.retries", stats.faults.retries);
-            rec.add("query.fault.failovers", stats.faults.failovers);
-            rec.add("query.fault.injected", stats.faults.injected);
-            rec.add("query.fault.failed_sites", stats.faults.failed_fragments);
-            rec.set("query.fault.degraded", u64::from(stats.faults.degraded));
-            rec.record("query.fault.penalty", stats.faults.penalty);
-        }
-        Ok((result, stats))
-    }
-
-    /// In strict (non-graceful) mode, a failed fragment fails the query.
-    fn strict_failure(&self, layer: &FaultLayer, folded: &FoldedOutcomes) -> Option<SiteError> {
-        if layer.graceful || folded.failed_sites.is_empty() {
-            return None;
-        }
-        Some(folded.first_error.unwrap_or(SiteError::Crashed {
-            host: folded.failed_sites[0],
-        }))
-    }
-
-    /// Issues every fragment's request chain on the bounded `mpc-par`
-    /// pool (the fault-tolerant twin of [`Self::parallel_eval`]).
-    /// Retries stay per-site inside each chain; outcomes come back in
-    /// fragment order regardless of thread count.
-    fn request_all_fragments(
-        &self,
-        layer: &FaultLayer,
-        network: &NetworkModel,
-        query_seq: u64,
-        queries: &[&Query],
-        threads: usize,
-        rec: &Recorder,
-    ) -> Vec<FragmentOutcome> {
-        let (outcomes, pstats) = mpc_par::par_map_stats(threads, &self.sites, |i, _| {
-            self.request_fragment(layer, network, query_seq, i, queries)
+        rec.incr("query.plan_cache.misses");
+        let subqueries = (!self.is_independent(query, mode)).then(|| {
+            Arc::new(match mode {
+                ExecMode::CrossingAware => decompose_crossing_aware(query, &self.crossing),
+                ExecMode::StarOnly => decompose_stars(query),
+            })
         });
-        record_par_stats(rec, &pstats);
-        outcomes
+        let order = |q: &Query, seed| static_order(&q.patterns, q.var_count(), &self.stats, seed);
+        let orders = match subqueries.as_deref() {
+            None => vec![order(query, seed)],
+            Some(subs) => subs.iter().map(|sq| order(&sq.query, None)).collect(),
+        };
+        let entry = CachedPlan {
+            class: self.classify(query),
+            subqueries,
+            orders: Arc::new(orders),
+        };
+        self.plans.lock().insert(key, entry.clone());
+        entry
     }
 
-    /// One fragment's request chain: walk the replica hosts in order, give
+    /// One fragment's request chain through the site step; returns the
+    /// last response (or error) with the chain's fault accounting.
+    ///
+    /// Without a fault layer (`chaos` is `None`) the chain is one attempt
+    /// on the fragment's primary site: no fault decision, no accounting,
+    /// and it cannot fail. With one, walk the replica hosts in order, give
     /// each host `max_retries + 1` attempts with exponential backoff
     /// between them, and stop at the first success. Detection costs and
     /// backoff waits are charged to a [`SimClock`], never slept — every
-    /// charge is a deterministic function of (plan, seed, query_seq), so
-    /// the penalty is reproducible while the run stays fast.
+    /// charge is a deterministic function of (plan, seed, query number),
+    /// so the penalty is reproducible while the run stays fast.
     fn request_fragment(
         &self,
-        layer: &FaultLayer,
+        chaos: Option<(&FaultLayer, u64)>,
         network: &NetworkModel,
-        query_seq: u64,
         fragment_idx: usize,
-        queries: &[&Query],
-    ) -> FragmentOutcome {
+        req: &SiteRequest<'_>,
+        obs: &mut impl MatchObserver,
+    ) -> (Result<SiteResponse, SiteError>, FaultStats) {
+        let site = &self.sites[fragment_idx];
         let fragment = narrow::u16_from(fragment_idx);
+        let mut faults = FaultStats::default();
+        let Some((layer, query_seq)) = chaos else {
+            let served = site.serve(req, fragment, None, 1.0, Duration::ZERO, obs);
+            return (served, faults);
+        };
         let site_count = self.sites.len();
         let replicas = layer.replicas.min(site_count.saturating_sub(1));
+        let policy = &layer.policy;
         let mut clock = SimClock::new();
-        let mut out = FragmentOutcome {
-            tables: None,
-            eval_time: Duration::ZERO,
-            bytes: 0,
-            messages: 0,
-            attempts: 0,
-            retries: 0,
-            failovers: 0,
-            injected: 0,
-            penalty: Duration::ZERO,
-            error: None,
-        };
+        // Overwritten by the first attempt: every chain makes at least one.
+        let mut served = Err(SiteError::Crashed { host: fragment });
         'hosts: for offset in 0..=replicas {
             let host = narrow::u16_from((fragment_idx + offset) % site_count);
             if offset > 0 {
-                out.failovers += 1;
+                faults.failovers += 1;
             }
-            for attempt in 0..=layer.policy.max_retries {
-                out.attempts += 1;
+            for attempt in 0..=policy.max_retries {
+                faults.attempts += 1;
                 // A severed coordinator↔host link behaves like a stall: the
                 // request dies on the wire and the deadline expires.
                 let fault = if network.partitioned(COORDINATOR, host) {
@@ -1027,231 +897,51 @@ impl DistributedEngine {
                     layer.injector.decide(query_seq, fragment, host, attempt)
                 };
                 if fault.is_some() {
-                    out.injected += 1;
+                    faults.injected += 1;
                 }
-                let served = self.sites[fragment_idx].respond(
-                    queries,
-                    host,
-                    fault,
-                    layer.injector.plan().slow_factor,
-                    layer.policy.deadline,
+                let slow_factor = layer.injector.plan().slow_factor;
+                served = site.serve(req, host, fault, slow_factor, policy.deadline, obs);
+                let Err(e) = &served else {
+                    break 'hosts;
+                };
+                clock.charge(match *e {
+                    // A stalled site costs the full deadline.
+                    SiteError::Timeout { deadline, .. } => deadline,
+                    // Refusals and rejected payloads are detected after one
+                    // round trip.
+                    SiteError::Crashed { .. }
+                    | SiteError::Overloaded { .. }
+                    | SiteError::CorruptPayload { .. } => network.latency,
+                });
+                if attempt < policy.max_retries {
+                    faults.retries += 1;
+                    let stream = layer
+                        .injector
+                        .attempt_hash(query_seq, fragment, host, attempt);
+                    clock.charge(policy.backoff(attempt, stream));
+                }
+            }
+        }
+        faults.penalty = clock.elapsed();
+        (served, faults)
+    }
+
+    /// The Bloom-semijoin pass over a decomposed leaf's subquery tables;
+    /// returns the filters' wire bytes.
+    fn bloom_reduce(&self, tables: &mut [Bindings], rec: &Recorder) -> u64 {
+        let stats = semijoin::bloom_reduce(tables);
+        if rec.is_enabled() {
+            rec.add("query.semijoin.rows_before", stats.rows_before as u64);
+            rec.add("query.semijoin.rows_after", stats.rows_after as u64);
+            rec.add("query.semijoin.filter_bytes", stats.filter_bytes);
+            if stats.rows_before > 0 {
+                rec.set(
+                    "query.semijoin.kept_permille",
+                    (stats.rows_after as u64 * 1000) / stats.rows_before as u64,
                 );
-                match served {
-                    Ok(resp) => {
-                        out.bytes = resp.bytes;
-                        out.messages = queries.len() as u64;
-                        out.eval_time = resp.eval_time;
-                        out.tables = Some(resp.tables);
-                        break 'hosts;
-                    }
-                    Err(e) => {
-                        out.error = Some(e);
-                        clock.charge(match e {
-                            // A stalled site costs the full deadline.
-                            SiteError::Timeout { deadline, .. } => deadline,
-                            // Refusals and rejected payloads are detected
-                            // after one round trip.
-                            SiteError::Crashed { .. }
-                            | SiteError::Overloaded { .. }
-                            | SiteError::CorruptPayload { .. } => network.latency,
-                        });
-                        if attempt < layer.policy.max_retries {
-                            out.retries += 1;
-                            clock.charge(layer.policy.backoff(
-                                attempt,
-                                layer.injector.attempt_hash(query_seq, fragment, host, attempt),
-                            ));
-                        }
-                    }
-                }
             }
         }
-        out.penalty = clock.elapsed();
-        out
-    }
-
-    /// Independent evaluation: the query runs on every site in parallel
-    /// under the plan's static join `order`; results are unioned
-    /// (crossing-edge replicas can duplicate matches, so the union
-    /// dedups).
-    ///
-    /// `pushed.filters` are id-only [`ResolvedFilter`]s in the query's
-    /// own variable space, applied *inside* each site before rows are
-    /// shipped — the partition-local FILTER pushdown of docs/QUERY.md.
-    /// Rows a filter rejects never cross the property cut, so they are
-    /// charged no wire bytes.
-    ///
-    /// `pushed.seed` makes this the right-hand leaf of a bind join: every
-    /// site starts its search from the keys (`order` is then the seeded
-    /// order), and the keys, which travel with each site's request, are
-    /// charged at wire size like the semijoin filters of
-    /// [`Self::run_subqueries`].
-    fn run_everywhere_and_union(
-        &self,
-        query: &Query,
-        order: &[usize],
-        pushed: Pushed<'_>,
-        rec: &Recorder,
-        threads: usize,
-    ) -> (Bindings, Duration, u64, Duration) {
-        let Pushed { filters, seed } = pushed;
-        // Only observe the matcher when the recorder is live — the
-        // unobserved arm monomorphizes to the exact pre-instrumentation
-        // search loop.
-        let observe = rec.is_enabled();
-        let leaf_vars: Vec<u32> = (0..narrow::u32_from(query.var_count())).collect();
-        let per_site = self.parallel_eval(threads, rec, |site| {
-            let (mut b, mstats) = if observe {
-                let mut mstats = MatchStats::default();
-                let b = eval_leaf(query, &site.store, order, seed, &mut mstats);
-                (b, Some(mstats))
-            } else {
-                (eval_leaf(query, &site.store, order, seed, &mut ()), None)
-            };
-            if !filters.is_empty() {
-                b.rows
-                    .retain(|row| filters.iter().all(|f| f.accepts_ids(row, &leaf_vars)));
-            }
-            (b, mstats)
-        });
-        let mut comm_bytes = 0u64;
-        // Summed post-join on the coordinator thread, like every other
-        // counter (workers never touch the recorder).
-        if !filters.is_empty() {
-            rec.add("query.pushdown.site_evals", self.sites.len() as u64);
-            rec.add("query.pushdown.filters", filters.len() as u64);
-        }
-        if let Some((_, keys)) = seed {
-            comm_bytes += self.sites.len() as u64 * wire::encoded_len(keys.len(), 1);
-            rec.incr("query.seed.leaves");
-            rec.add("query.seed.keys", keys.len() as u64);
-        }
-        let width = query.var_count();
-        let mut runs = Vec::with_capacity(per_site.len());
-        let mut max_time = Duration::ZERO;
-        // Workers never touch the recorder: per-site counters are summed
-        // here on the coordinator thread after the join, in site order,
-        // so `--profile` reports are reproducible for any thread count.
-        let mut match_total = MatchStats::default();
-        for (i, ((bindings, mstats), took)) in per_site.into_iter().enumerate() {
-            if let Some(mstats) = mstats {
-                rec.record(&format!("query.let.site{i}"), took);
-                merge_match_stats(&mut match_total, mstats);
-            }
-            comm_bytes += wire::encoded_len(bindings.len(), width);
-            max_time = max_time.max(took);
-            runs.push(bindings.rows);
-        }
-        if observe {
-            record_match_stats(rec, &match_total);
-        }
-        let result = Bindings::union_sorted(leaf_vars, runs);
-        let messages = self.sites.len() as u64;
-        let comm_time = self.network.transfer_time(comm_bytes, messages);
-        rec.add("query.comm.bytes", comm_bytes);
-        rec.add("query.comm.messages", messages);
-        (result, max_time, comm_bytes, comm_time)
-    }
-
-    /// Decomposed evaluation: every subquery runs on every site under its
-    /// static join order (`orders` is parallel to `subqueries`); per-site
-    /// time is the sum of that site's subquery times (a site evaluates its
-    /// subqueries sequentially), the stage time is the max across sites.
-    ///
-    /// With [`Self::semijoin_reduction`] enabled, a Bloom-semijoin pass
-    /// prunes the merged tables before the shipped bytes are charged (plus
-    /// the filters' own wire size), modeling sites exchanging filters and
-    /// pruning locally before sending results to the coordinator.
-    fn run_subqueries(
-        &self,
-        subqueries: &[Subquery],
-        orders: &[Vec<usize>],
-        rec: &Recorder,
-        threads: usize,
-    ) -> (Vec<Bindings>, Duration, u64, Duration) {
-        debug_assert_eq!(subqueries.len(), orders.len());
-        let observe = rec.is_enabled();
-        let per_site = self.parallel_eval(threads, rec, |site| {
-            if observe {
-                let mut mstats = MatchStats::default();
-                let tables = subqueries
-                    .iter()
-                    .zip(orders)
-                    .map(|(sq, ord)| {
-                        evaluate_ordered_observed(&sq.query, &site.store, ord, &mut mstats)
-                    })
-                    .collect::<Vec<Bindings>>();
-                (tables, Some(mstats))
-            } else {
-                let tables = subqueries
-                    .iter()
-                    .zip(orders)
-                    .map(|(sq, ord)| evaluate_ordered(&sq.query, &site.store, ord))
-                    .collect::<Vec<Bindings>>();
-                (tables, None)
-            }
-        });
-        let mut max_time = Duration::ZERO;
-        let mut per_site_tables = Vec::with_capacity(per_site.len());
-        // Same merge discipline as `run_everywhere_and_union`: counters
-        // are summed post-join in site order, never from worker threads.
-        let mut match_total = MatchStats::default();
-        for (i, ((site_tables, mstats), took)) in per_site.into_iter().enumerate() {
-            if let Some(mstats) = mstats {
-                rec.record(&format!("query.let.site{i}"), took);
-                merge_match_stats(&mut match_total, mstats);
-            }
-            max_time = max_time.max(took);
-            per_site_tables.push(site_tables);
-        }
-        if observe {
-            record_match_stats(rec, &match_total);
-        }
-        let mut merged = union_per_subquery(subqueries, per_site_tables);
-        let mut comm_bytes = 0u64;
-        if self.semijoin_reduction {
-            let stats = semijoin::bloom_reduce(&mut merged);
-            comm_bytes += stats.filter_bytes;
-            if rec.is_enabled() {
-                rec.add("query.semijoin.rows_before", stats.rows_before as u64);
-                rec.add("query.semijoin.rows_after", stats.rows_after as u64);
-                rec.add("query.semijoin.filter_bytes", stats.filter_bytes);
-                if stats.rows_before > 0 {
-                    rec.set(
-                        "query.semijoin.kept_permille",
-                        (stats.rows_after as u64 * 1000) / stats.rows_before as u64,
-                    );
-                }
-            }
-        }
-        for table in &merged {
-            comm_bytes += wire::encoded_len(table.len(), table.vars.len());
-        }
-        let messages = (self.sites.len() * subqueries.len()) as u64;
-        let comm_time = self.network.transfer_time(comm_bytes, messages);
-        rec.add("query.comm.bytes", comm_bytes);
-        rec.add("query.comm.messages", messages);
-        (merged, max_time, comm_bytes, comm_time)
-    }
-
-    /// Runs `f` on every site on the bounded `mpc-par` pool, measuring
-    /// each site's time. Results come back in site order for any thread
-    /// count; `f` must not touch the recorder (counters are merged by
-    /// the caller after the join — see the determinism contract in
-    /// docs/PARALLELISM.md).
-    fn parallel_eval<T: Send>(
-        &self,
-        threads: usize,
-        rec: &Recorder,
-        f: impl Fn(&Site) -> T + Sync,
-    ) -> Vec<(T, Duration)> {
-        let (per_site, pstats) = mpc_par::par_map_stats(threads, &self.sites, |_, site| {
-            let t0 = Instant::now();
-            let out = f(site);
-            (out, t0.elapsed())
-        });
-        record_par_stats(rec, &pstats);
-        per_site
+        stats.filter_bytes
     }
 }
 
@@ -1265,49 +955,26 @@ struct Pushed<'a> {
     seed: Option<(u32, &'a [u32])>,
 }
 
-/// One site's evaluation of an independent leaf under its static order.
-fn eval_leaf(
-    query: &Query,
-    store: &LocalStore,
-    order: &[usize],
-    seed: Option<(u32, &[u32])>,
-    obs: &mut impl MatchObserver,
-) -> Bindings {
-    match seed {
-        Some((var, keys)) => evaluate_seeded_observed(query, store, order, var, keys, obs),
-        None => evaluate_ordered_observed(query, store, order, obs),
-    }
-}
-
 /// The [`BgpSource`] behind [`DistributedEngine::run_plan`]: leaves run
-/// through the engine and their [`ExecutionStats`] are summed as they
-/// complete (leaves evaluate sequentially on the coordinator; each one
-/// fans out across sites internally).
+/// through the engine's leaf pipeline and their [`ExecutionStats`] are
+/// summed as they complete (leaves evaluate sequentially on the
+/// coordinator; each one fans out across sites internally).
 struct EngineSource<'a> {
     engine: &'a DistributedEngine,
-    req: &'a ExecRequest,
-    /// False when a fault layer is in effect — filter pushdown and
-    /// seeding then stand down so every leaf follows the chaos-contract
-    /// path.
-    pushdown_ok: bool,
+    ctx: Ctx<'a>,
     agg: Option<ExecutionStats>,
     complete: bool,
     failed_sites: Vec<u16>,
 }
 
 impl EngineSource<'_> {
-    /// Runs an independent leaf on the infallible path with `pushed`
-    /// applied inside the sites. Callers have checked `pushdown_ok` and
-    /// that the leaf is independent.
-    fn run_independent_leaf(&mut self, query: &Query, pushed: Pushed<'_>) -> Bindings {
-        let req = self.req;
-        let threads = mpc_par::resolve_threads(req.threads);
-        req.recorder.set("par.threads", threads as u64);
-        let (rows, stats) =
-            self.engine
-                .exec_infallible(query, req.mode, &req.recorder, threads, pushed);
+    /// Runs one leaf with `pushed` applied inside the sites.
+    fn leaf(&mut self, query: &Query, pushed: Pushed<'_>) -> Result<Bindings, SiteError> {
+        let ExecOutcome { bindings, stats } = self.engine.exec_leaf(query, &self.ctx, pushed)?;
         self.note(stats);
-        rows
+        self.complete &= bindings.complete;
+        self.failed_sites.extend(bindings.failed_sites);
+        Ok(bindings.rows)
     }
 
     /// Folds one leaf's stats into the aggregate: times, bytes, and
@@ -1340,12 +1007,7 @@ impl BgpSource for EngineSource<'_> {
     type Error = SiteError;
 
     fn eval_bgp(&mut self, query: &Query) -> Result<Bindings, SiteError> {
-        let outcome = self.engine.run(query, self.req)?;
-        let (bindings, stats) = outcome.into_parts();
-        self.note(stats);
-        self.complete &= bindings.complete;
-        self.failed_sites.extend(bindings.failed_sites);
-        Ok(bindings.rows)
+        self.leaf(query, Pushed::default())
     }
 
     fn eval_bgp_filtered(
@@ -1353,16 +1015,16 @@ impl BgpSource for EngineSource<'_> {
         query: &Query,
         filters: &[ResolvedFilter],
     ) -> Option<Result<Bindings, SiteError>> {
-        if !self.pushdown_ok || !self.engine.is_independent(query, self.req.mode) {
+        if !self.engine.is_independent(query, self.ctx.mode) {
             return None;
         }
-        Some(Ok(self.run_independent_leaf(
+        Some(self.leaf(
             query,
             Pushed {
                 filters,
                 seed: None,
             },
-        )))
+        ))
     }
 
     fn eval_bgp_seeded(
@@ -1372,8 +1034,7 @@ impl BgpSource for EngineSource<'_> {
         keys: &[u32],
     ) -> Option<Result<Bindings, SiteError>> {
         let engine = self.engine;
-        if !self.pushdown_ok
-            || !engine.is_independent(query, self.req.mode)
+        if !engine.is_independent(query, self.ctx.mode)
             || !seeding_pays(
                 &query.patterns,
                 query.var_count(),
@@ -1381,58 +1042,16 @@ impl BgpSource for EngineSource<'_> {
                 keys.len(),
             )
         {
-            self.req.recorder.incr("query.seed.declined");
+            self.ctx.rec.incr("query.seed.declined");
             return None;
         }
-        Some(Ok(self.run_independent_leaf(
+        Some(self.leaf(
             query,
             Pushed {
                 filters: &[],
                 seed: Some((var, keys)),
             },
-        )))
-    }
-}
-
-/// Unions what the sites returned for each subquery — `per_site` yields
-/// one table per subquery, in subquery order — into one table per
-/// subquery over its parent-space columns. Sites return strictly sorted
-/// tables, so this is [`Bindings::union_sorted`] per subquery.
-fn union_per_subquery(
-    subqueries: &[Subquery],
-    per_site: impl IntoIterator<Item = Vec<Bindings>>,
-) -> Vec<Bindings> {
-    let mut runs: Vec<Vec<Vec<Vec<u32>>>> = vec![Vec::new(); subqueries.len()];
-    for tables in per_site {
-        for (into, table) in runs.iter_mut().zip(tables) {
-            into.push(table.rows);
-        }
-    }
-    subqueries
-        .iter()
-        .zip(runs)
-        .map(|(sq, runs)| Bindings::union_sorted(sq.parent_vars.clone(), runs))
-        .collect()
-}
-
-/// Folds one fan-out's pool accounting into `par.*` (`par.threads`, the
-/// resolved thread budget, is a gauge set once per request in `run`).
-fn record_par_stats(rec: &Recorder, stats: &mpc_par::ParStats) {
-    if rec.is_enabled() {
-        rec.add("par.tasks", stats.tasks as u64);
-        rec.add("par.chunks", stats.chunks);
-    }
-}
-
-/// Sums one site's matcher counters into a running total (the
-/// order-independent merge recorded once per stage).
-fn merge_match_stats(total: &mut MatchStats, site: MatchStats) {
-    total.steps += site.steps;
-    total.candidates_scanned += site.candidates_scanned;
-    total.backtracks += site.backtracks;
-    total.rows_emitted += site.rows_emitted;
-    for (path, n) in site.access_paths {
-        *total.access_paths.entry(path).or_insert(0) += n;
+        ))
     }
 }
 
@@ -2247,31 +1866,6 @@ mod tests {
         assert!(rec.counter("query.algebra.nodes").unwrap_or(0) >= 3);
     }
 
-    #[test]
-    fn run_plan_with_fault_layer_stands_pushdown_down() {
-        let g = iri_dataset();
-        let mut engine = mpc_engine(&g);
-        engine.enable_fault_tolerance(FaultPlan::none(), RetryPolicy::default(), 0, true);
-        let text = "SELECT * WHERE { ?h <urn:p:2> ?x . ?h <urn:p:2> ?y FILTER(?x != ?y) }";
-        let plan = plan_of(&g, text);
-        let rec = Recorder::enabled();
-        let outcome = engine
-            .run_plan(&plan, &ExecRequest::new().traced(&rec), g.dictionary())
-            .expect("an empty fault plan injects nothing");
-        assert_eq!(
-            rec.counter("query.pushdown.site_evals"),
-            None,
-            "fault-layer requests must keep the plain leaf path"
-        );
-        let store = LocalStore::from_graph(&g);
-        let central = mpc_sparql::eval_plan_local(&plan, &store, g.dictionary());
-        let mut got = outcome.rows().rows.clone();
-        let mut want = central.rows;
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
     /// Join texts over `iri_dataset()` whose right-hand leaf shares a
     /// variable with a left side of one row: a bound OPTIONAL, an
     /// OPTIONAL whose arm finds nothing, an object-anchored left side,
@@ -2325,27 +1919,48 @@ mod tests {
     }
 
     #[test]
-    fn run_plan_with_fault_layer_stands_seeding_down() {
+    fn run_plan_under_a_quiet_fault_layer_pushes_and_seeds_like_the_unarmed_engine() {
         let g = iri_dataset();
-        let mut engine = mpc_engine(&g);
-        engine.enable_fault_tolerance(FaultPlan::none(), RetryPolicy::default(), 0, true);
-        let store = LocalStore::from_graph(&g);
-        for text in SEEDED_TEXTS {
+        let plain = mpc_engine(&g);
+        let mut armed = mpc_engine(&g);
+        armed.enable_fault_tolerance(FaultPlan::none(), RetryPolicy::default(), 0, true);
+        let filtered = "SELECT * WHERE { ?h <urn:p:2> ?x . ?h <urn:p:2> ?y FILTER(?x != ?y) }";
+        let offers = [
+            "query.pushdown.site_evals",
+            "query.pushdown.filters",
+            "query.seed.leaves",
+            "query.seed.keys",
+            "query.seed.declined",
+        ];
+        for text in std::iter::once(filtered).chain(SEEDED_TEXTS) {
             let plan = plan_of(&g, text);
-            let rec = Recorder::enabled();
-            let outcome = engine
-                .run_plan(&plan, &ExecRequest::new().traced(&rec), g.dictionary())
-                .expect("an empty fault plan injects nothing");
-            assert_eq!(
-                rec.counter("query.seed.leaves"),
-                None,
-                "fault-layer requests must keep the plain leaf path"
+            let mut leaves = 0u64;
+            plan.root.for_each(&mut |n| {
+                leaves += u64::from(matches!(n, mpc_sparql::PlanNode::Bgp { .. }));
+            });
+            let run = |engine: &DistributedEngine| {
+                let rec = Recorder::enabled();
+                let outcome = engine
+                    .run_plan(&plan, &ExecRequest::new().traced(&rec), g.dictionary())
+                    .expect("an empty fault plan injects nothing");
+                (outcome, rec)
+            };
+            let (want, want_rec) = run(&plain);
+            let (got, got_rec) = run(&armed);
+            assert_eq!(got.rows(), want.rows(), "{text}");
+            assert!(got.bindings.complete, "{text}");
+            assert!(
+                want_rec.counter(offers[0]).is_some() || want_rec.counter(offers[2]).is_some(),
+                "the unarmed engine takes the offer: {text}"
             );
-            assert_eq!(rec.counter("query.seed.declined"), Some(1));
+            for name in offers {
+                let (got, want) = (got_rec.counter(name), want_rec.counter(name));
+                assert_eq!(got, want, "{name}: {text}");
+            }
             assert_eq!(
-                outcome.rows(),
-                &mpc_sparql::eval_plan_local(&plan, &store, g.dictionary()),
-                "{text}"
+                got.stats.faults.attempts,
+                armed.site_count() as u64 * leaves,
+                "one attempt per site per leaf: {text}"
             );
         }
     }

@@ -479,6 +479,96 @@ mod proptests {
             }
         }
 
+    }
+
+    proptest! {
+        // Few generated texts both resolve and put an id-only FILTER
+        // straight on a leaf; this many cases make those meet faults.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The chaos contract on the plan path, where leaves are pushed
+        /// down and seeded under a fault layer too. Graceful `run_plan`
+        /// returns the centralized answer as a bag when complete, and
+        /// otherwise names the lost fragments and invents nothing: every
+        /// row agrees with some reference row on every cell it binds (a
+        /// degraded OPTIONAL arm leaves unbound what the full answer
+        /// extends), and a plan without OPTIONAL returns a sub-bag. Rows,
+        /// completeness, failed sites and fault accounting agree at 1
+        /// and 4 threads (fresh engines: fault draws follow the query
+        /// sequence).
+        #[test]
+        fn chaos_plan_execution_is_exact_or_explicitly_incomplete(
+            g in iri_graph_strategy(),
+            text in algebra_text_strategy(),
+            seed in any::<u64>(),
+            rate in 0.0f64..0.18,
+            k in 2usize..4,
+        ) {
+            let dict = g.dictionary();
+            let Ok(plan) = mpc_sparql::parse(&text).expect("generated text parses").resolve(dict)
+            else {
+                return Ok(());
+            };
+            let central = mpc_sparql::eval_plan_local(&plan, &LocalStore::from_graph(&g), dict);
+            let mut want = central.rows.clone();
+            want.sort_unstable();
+            let partitioning = MpcPartitioner::new(MpcConfig::with_k(k)).partition(&g);
+            let run_at = |threads: usize| {
+                let mut engine = DistributedEngine::build(&g, &partitioning, NetworkModel::free());
+                engine.enable_fault_tolerance(
+                    FaultPlan::uniform(seed, rate),
+                    RetryPolicy::default(),
+                    1,
+                    true,
+                );
+                engine
+                    .run_plan(&plan, &ExecRequest::new().threads(threads), dict)
+                    .expect("graceful mode never errors")
+                    .into_parts()
+            };
+            let (base, base_stats) = run_at(1);
+            prop_assert_eq!(&base.rows.vars, &central.vars);
+            let mut got = base.rows.rows.clone();
+            got.sort_unstable();
+            if base.complete {
+                prop_assert_eq!(&got, &want, "complete result must be exact: {}", text);
+                prop_assert!(base.failed_sites.is_empty());
+            } else {
+                prop_assert!(base_stats.faults.degraded);
+                prop_assert!(!base.failed_sites.is_empty());
+                for row in &got {
+                    prop_assert!(
+                        want.iter().any(|full| row
+                            .iter()
+                            .zip(full)
+                            .all(|(&a, &b)| a == mpc_sparql::UNBOUND || a == b)),
+                        "degraded result invented row {:?}: {}", row, text
+                    );
+                }
+                let mut optional = false;
+                plan.root.for_each(&mut |n| {
+                    optional |= matches!(n, mpc_sparql::PlanNode::LeftJoin(..));
+                });
+                if !optional {
+                    // Both sorted: walk `want` once, consuming one copy per row.
+                    let mut rest = want.iter();
+                    prop_assert!(
+                        got.iter().all(|row| rest.any(|full| full == row)),
+                        "degraded result is not a sub-bag: {}", text
+                    );
+                }
+            }
+            let (four, four_stats) = run_at(4);
+            prop_assert_eq!(&four.rows, &base.rows, "threads 1 vs 4: {}", text);
+            prop_assert_eq!(four.complete, base.complete);
+            prop_assert_eq!(&four.failed_sites, &base.failed_sites);
+            prop_assert_eq!(four_stats.faults, base_stats.faults);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
         /// The algebra-plan serving contract over OPTIONAL / UNION /
         /// FILTER / ORDER BY / DISTINCT workloads: cached serving is
         /// bit-identical to uncached serving, distributed plan execution

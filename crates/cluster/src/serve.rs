@@ -35,9 +35,7 @@
 //!   it (and a degraded answer must never be replayed as authoritative);
 //! * [`ExecRequest::cached`]`(false)` forces a full execution along the
 //!   exact same canonical path, so the only difference is the cache.
-use crate::coordinator::{
-    DistributedEngine, ExecMode, ExecOutcome, ExecRequest, FaultSpec, PartialBindings,
-};
+use crate::coordinator::{DistributedEngine, ExecMode, ExecOutcome, ExecRequest, PartialBindings};
 use crate::fault::SiteError;
 use crate::stats::ExecutionStats;
 use crate::update::{CommitError, CommitReport, UpdateBatch};
@@ -438,12 +436,7 @@ impl ServeEngine {
     pub fn serve(&self, query: &Query, req: &ExecRequest) -> Result<ExecOutcome, SiteError> {
         // Chaos requests pass through uncached so the engine's query
         // sequence advances exactly as it would without a front end.
-        let fault_effective = match req.fault {
-            FaultSpec::Disabled => false,
-            FaultSpec::Inherit => self.inner.fault_tolerance_enabled(),
-            FaultSpec::Custom { .. } => true,
-        };
-        if fault_effective {
+        if self.inner.fault_effective(req) {
             return self.inner.run(query, req);
         }
         let rec = &req.recorder;
@@ -509,12 +502,7 @@ impl ServeEngine {
         req: &ExecRequest,
         dict: &Dictionary,
     ) -> Result<ExecOutcome, SiteError> {
-        let fault_effective = match req.fault {
-            FaultSpec::Disabled => false,
-            FaultSpec::Inherit => self.inner.fault_tolerance_enabled(),
-            FaultSpec::Custom { .. } => true,
-        };
-        if fault_effective {
+        if self.inner.fault_effective(req) {
             return self.inner.run_plan(plan, req, dict);
         }
         let rec = &req.recorder;
@@ -613,7 +601,8 @@ fn compact_copy(rows: &Bindings) -> Arc<Bindings> {
     Arc::new(rows.clone())
 }
 
-/// Wraps infallible-path bindings (always complete) into an outcome.
+/// Wraps bindings from a request without a fault layer (always
+/// complete) into an outcome.
 fn complete_outcome(rows: Bindings, stats: ExecutionStats) -> ExecOutcome {
     ExecOutcome {
         bindings: PartialBindings {
@@ -628,6 +617,7 @@ fn complete_outcome(rows: Bindings, stats: ExecutionStats) -> ExecOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::FaultSpec;
     use crate::fault::{FaultKind, FaultPlan, ScriptedFault};
     use crate::network::NetworkModel;
     use crate::retry::RetryPolicy;

@@ -5,7 +5,10 @@ use crate::fault::{FaultKind, SiteError};
 use crate::wire;
 use mpc_core::Fragment;
 use mpc_rdf::{FxHashSet, PartitionId, VertexId};
-use mpc_sparql::{evaluate, Bindings, LocalStore, Query};
+use mpc_sparql::{
+    evaluate_observed, evaluate_ordered_observed, evaluate_seeded_observed, Bindings, LocalStore,
+    MatchObserver, Query, ResolvedFilter,
+};
 use std::time::{Duration, Instant};
 
 /// One cluster site hosting a partition fragment.
@@ -19,17 +22,33 @@ pub struct Site {
     pub extended: FxHashSet<VertexId>,
 }
 
-/// A successful site response: the evaluated tables after the wire
-/// round-trip, plus the (simulated) evaluation time and payload size.
+/// A successful site response: the evaluated tables, plus the
+/// (simulated) evaluation time and payload size.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SiteResponse {
-    /// One decoded binding table per requested query.
+    /// One binding table per requested query.
     pub tables: Vec<Bindings>,
     /// Local evaluation time; scaled by the plan's `slow_factor` when a
     /// straggler fault was injected.
     pub eval_time: Duration,
     /// Total wire bytes of the shipped tables.
     pub bytes: u64,
+}
+
+/// What the coordinator asks a site to evaluate for one BGP leaf: the
+/// whole leaf, or every subquery of its decomposition, and how.
+pub(crate) struct SiteRequest<'a> {
+    /// One table comes back per query, in this order.
+    pub queries: &'a [&'a Query],
+    /// A static pattern order per query (docs/QUERY.md); empty runs the
+    /// matcher's dynamic order.
+    pub orders: &'a [Vec<usize>],
+    /// Id-only filters every row must pass before it ships — the
+    /// partition-local FILTER pushdown. Rejected rows cost no wire bytes.
+    pub filters: &'a [ResolvedFilter],
+    /// A bind-join seed: the variable and its sorted distinct keys, which
+    /// every search starts from (needs `orders`).
+    pub seed: Option<(u32, &'a [u32])>,
 }
 
 impl Site {
@@ -54,21 +73,12 @@ impl Site {
         self.store.len()
     }
 
-    /// Serves one coordinator request, honoring an injected fault.
-    ///
-    /// On the happy path every result table takes the real wire
-    /// round-trip — [`wire::encode_bindings`] then
-    /// [`wire::decode_bindings`] — so what the coordinator consumes is
-    /// exactly what survived the codec's validation. Faults map to the
-    /// [`SiteError`] taxonomy:
-    ///
-    /// * `Crash` / `Overload` → refused before evaluation,
-    /// * `Stall` → [`SiteError::Timeout`] after `deadline` (the
-    ///   coordinator charges the wait to its simulated clock),
-    /// * `Corrupt` → the site evaluates and encodes normally, the payload
-    ///   loses its last byte in flight, and the decode length check
-    ///   rejects it — corruption is *detected*, never consumed,
-    /// * `Slow` → correct answer, `slow_factor`× the evaluation time.
+    /// Serves one coordinator request under the matcher's dynamic order,
+    /// honoring an injected fault. This is the coordinator's site step
+    /// with no plan, no pushed filters, no seed, and no observer: healthy
+    /// tables move to the caller, charged their [`wire::encoded_len`],
+    /// and only an injected `Corrupt` runs the codec, whose length check
+    /// must reject the truncated payload as [`SiteError::CorruptPayload`].
     pub fn respond(
         &self,
         queries: &[&Query],
@@ -77,6 +87,38 @@ impl Site {
         slow_factor: f64,
         deadline: Duration,
     ) -> Result<SiteResponse, SiteError> {
+        let req = SiteRequest {
+            queries,
+            orders: &[],
+            filters: &[],
+            seed: None,
+        };
+        self.serve(&req, host, fault, slow_factor, deadline, &mut ())
+    }
+
+    /// The one site step every coordinator request takes: evaluate
+    /// `req`, reporting search events to `obs`, and honor an injected
+    /// fault. Healthy tables move to the coordinator and are charged
+    /// their [`wire::encoded_len`]. Faults map to the [`SiteError`]
+    /// taxonomy:
+    ///
+    /// * `Crash` / `Overload` → refused before evaluation,
+    /// * `Stall` → [`SiteError::Timeout`] after `deadline` (the
+    ///   coordinator charges the wait to its simulated clock),
+    /// * `Corrupt` → the site evaluates and encodes the last table, the
+    ///   payload loses its last byte in flight, and
+    ///   [`wire::decode_bindings`]' length check rejects it — corruption
+    ///   is *detected*, never consumed,
+    /// * `Slow` → correct answer, `slow_factor`× the evaluation time.
+    pub(crate) fn serve(
+        &self,
+        req: &SiteRequest<'_>,
+        host: u16,
+        fault: Option<FaultKind>,
+        slow_factor: f64,
+        deadline: Duration,
+        obs: &mut impl MatchObserver,
+    ) -> Result<SiteResponse, SiteError> {
         match fault {
             Some(FaultKind::Crash) => return Err(SiteError::Crashed { host }),
             Some(FaultKind::Overload) => return Err(SiteError::Overloaded { host }),
@@ -84,39 +126,63 @@ impl Site {
             Some(FaultKind::Corrupt) | Some(FaultKind::Slow) | None => {}
         }
         let t0 = Instant::now();
-        let results: Vec<Bindings> = queries.iter().map(|q| evaluate(q, &self.store)).collect();
+        let tables: Vec<Bindings> = req
+            .queries
+            .iter()
+            .enumerate()
+            .map(|(i, query)| self.evaluate(req, query, req.orders.get(i), obs))
+            .collect();
         let mut eval_time = t0.elapsed();
         if fault == Some(FaultKind::Slow) && slow_factor > 1.0 {
             eval_time = eval_time.mul_f64(slow_factor);
         }
-        let mut tables = Vec::with_capacity(results.len());
-        let mut bytes = 0u64;
-        for (i, table) in results.into_iter().enumerate() {
-            let encoded = match wire::encode_bindings(&table) {
-                Ok(b) => b,
-                // An unframeable table cannot cross the wire coherently.
-                Err(_) => return Err(SiteError::CorruptPayload { host }),
-            };
-            let corrupt_this = fault == Some(FaultKind::Corrupt) && i + 1 == queries.len();
-            let payload = if corrupt_this {
+        if fault == Some(FaultKind::Corrupt) {
+            if let Some(last) = tables.last() {
                 // Damaged in flight: drop the trailing byte. The decoder's
                 // length check catches this for every table shape (see
                 // wire::tests::one_byte_truncation_is_always_detected).
-                encoded.slice(0..encoded.len().saturating_sub(1))
-            } else {
-                encoded
-            };
-            bytes += payload.len() as u64;
-            match wire::decode_bindings(payload) {
-                Ok(decoded) => tables.push(decoded),
-                Err(_) => return Err(SiteError::CorruptPayload { host }),
+                let corrupt = SiteError::CorruptPayload { host };
+                let payload = wire::encode_bindings(last).map_err(|_| corrupt)?;
+                wire::decode_bindings(payload.slice(0..payload.len().saturating_sub(1)))
+                    .map_err(|_| corrupt)?;
             }
         }
+        let bytes = tables
+            .iter()
+            .map(|t| wire::encoded_len(t.len(), t.vars.len()))
+            .sum();
         Ok(SiteResponse {
             tables,
             eval_time,
             bytes,
         })
+    }
+
+    /// Evaluates one query of `req` under `order` (the dynamic order when
+    /// `None`), then applies the pushed filters.
+    fn evaluate(
+        &self,
+        req: &SiteRequest<'_>,
+        query: &Query,
+        order: Option<&Vec<usize>>,
+        obs: &mut impl MatchObserver,
+    ) -> Bindings {
+        let store = &self.store;
+        let mut table = match (order, req.seed) {
+            (Some(order), Some((var, keys))) => {
+                evaluate_seeded_observed(query, store, order, var, keys, obs)
+            }
+            (Some(order), None) => evaluate_ordered_observed(query, store, order, obs),
+            (None, seed) => {
+                debug_assert!(seed.is_none(), "a seeded search needs a static order");
+                evaluate_observed(query, store, obs)
+            }
+        };
+        if !req.filters.is_empty() {
+            let Bindings { vars, rows } = &mut table;
+            rows.retain(|row| req.filters.iter().all(|f| f.accepts_ids(row, vars)));
+        }
+        table
     }
 }
 
@@ -125,7 +191,7 @@ mod tests {
     use super::*;
     use mpc_core::{Partitioner, SubjectHashPartitioner};
     use mpc_rdf::{PropertyId, RdfGraph, Triple};
-    use mpc_sparql::{QLabel, QNode, TriplePattern};
+    use mpc_sparql::{evaluate, QLabel, QNode, TriplePattern};
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(VertexId(s), PropertyId(p), VertexId(o))
@@ -174,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn respond_round_trips_through_the_wire() {
+    fn respond_ships_tables_charged_at_wire_size() {
         let site = one_site();
         let q = query();
         let resp = site
@@ -185,6 +251,33 @@ mod tests {
         assert_eq!(
             resp.bytes,
             wire::encoded_len(resp.tables[0].len(), resp.tables[0].vars.len())
+        );
+    }
+
+    #[test]
+    fn seeded_step_ships_the_keyed_subsequence() {
+        let site = one_site();
+        // ?a p0 ?b over 0→1→2: rows (0,1) and (1,2).
+        let q = query();
+        let full = evaluate(&q, &site.store);
+        let orders = [vec![0]];
+        let seeded = SiteRequest {
+            queries: &[&q],
+            orders: &orders,
+            filters: &[],
+            seed: Some((0, &[1, 7])),
+        };
+        let resp = site
+            .serve(&seeded, 0, None, 1.0, Duration::ZERO, &mut ())
+            .unwrap();
+        let keyed: Vec<Vec<u32>> = full.rows.iter().filter(|r| r[0] == 1).cloned().collect();
+        assert_eq!(resp.tables[0].rows, keyed);
+        assert_eq!(resp.bytes, wire::encoded_len(keyed.len(), 2));
+        // A corrupt payload is rejected however small the table is.
+        let corrupt = Some(FaultKind::Corrupt);
+        assert_eq!(
+            site.serve(&seeded, 2, corrupt, 1.0, Duration::ZERO, &mut ()),
+            Err(SiteError::CorruptPayload { host: 2 })
         );
     }
 
