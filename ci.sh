@@ -102,17 +102,26 @@ SELECT ?x ?o WHERE { ?x <urn:p:8> <urn:v:1175> OPTIONAL { ?x <urn:p:0> ?o } }
 EOF
 serve_replay() {
     "$MPC" serve --input "$CI_TMP/lubm.nt" --partitions "$CI_TMP/lubm.parts" \
-        --queries "$CI_TMP/workload.txt" --cache-entries 16 --limit 3 \
+        --queries "$CI_TMP/workload.txt" --cache-entries "$1" --limit 3 \
         | grep -v '^time:'
 }
-serve_replay > "$CI_TMP/serve.1"
-serve_replay > "$CI_TMP/serve.2"
+serve_replay 16 > "$CI_TMP/serve.1"
+serve_replay 16 > "$CI_TMP/serve.2"
 # Outside the wall-clock line, two replays are byte-identical…
 cmp "$CI_TMP/serve.1" "$CI_TMP/serve.2"
-# …and the respelled BGP, the BGP repeat, the renamed OPTIONAL, and the
-# UNION repeat all hit the result cache.
+# …the respelled BGP, the BGP repeat, the renamed OPTIONAL, and the
+# UNION repeat all hit the result cache, and the canonicalization memo
+# answers all of them but the reordered BGP.
 grep '^serve:' "$CI_TMP/serve.1" | grep -q 'cache_hits=4'
+grep '^serve:' "$CI_TMP/serve.1" | grep -q 'plan_hits=3 plan_misses=7'
 grep '^serve:' "$CI_TMP/serve.1"
+# With the result cache off, every answer is byte-identical to the cached
+# replay's once the per-request cache tag is dropped; the memo still hits.
+serve_replay 0 > "$CI_TMP/serve.0"
+grep -v '^serve:' "$CI_TMP/serve.1" | sed 's/ cache=[a-z]*//' > "$CI_TMP/serve.1.rows"
+grep -v '^serve:' "$CI_TMP/serve.0" | sed 's/ cache=[a-z]*//' > "$CI_TMP/serve.0.rows"
+cmp "$CI_TMP/serve.1.rows" "$CI_TMP/serve.0.rows"
+grep '^serve:' "$CI_TMP/serve.0" | grep -q 'plan_hits=3 .*entries=0/0'
 
 echo "==> server smoke (concurrent TCP front end, byte-identical to mpc serve --digest, docs/SERVER.md)"
 # Expected digests from the single-threaded serving path…

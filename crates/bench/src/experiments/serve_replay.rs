@@ -4,10 +4,11 @@
 //!
 //! The workload is a Zipf-skewed, deterministically sampled replay of
 //! the LUBM benchmark queries — the regime docs/SERVING.md targets,
-//! where a few templates dominate the request stream. Every other
-//! occurrence of a query is *respelled* (pattern list reversed), so the
-//! run also exercises canonical-key sharing: different raw spellings,
-//! one cache entry.
+//! where a few templates dominate the request stream — each served as
+//! its one-leaf plan (`ResolvedPlan::from_bgp`). Every other occurrence
+//! of a query is *respelled* (pattern list reversed), so the run also
+//! exercises canonical-key sharing: different raw spellings, one cache
+//! entry.
 //!
 //! Before any timing is reported, the run asserts the serving contract:
 //! cached and uncached replays produce **bit-identical** row streams at
@@ -24,7 +25,7 @@ use crate::harness::{partition_with, Method};
 use crate::report::{emit, fresh, write_json, Table};
 use mpc_cluster::{DistributedEngine, NetworkModel, RequestSpec, ServeEngine};
 use mpc_obs::{Json, Recorder};
-use mpc_sparql::Query;
+use mpc_sparql::{Query, ResolvedPlan};
 use std::time::{Duration, Instant};
 
 /// Requests in the replayed workload.
@@ -99,14 +100,17 @@ pub fn run() {
 
     // The replayed request stream: Zipf-skewed template choice, every
     // other occurrence respelled.
-    let templates: Vec<(Query, Query)> = bundle
+    let templates: Vec<(ResolvedPlan, ResolvedPlan)> = bundle
         .benchmark_queries
         .iter()
-        .map(|nq| (nq.query.clone(), respell(&nq.query)))
+        .map(|nq| {
+            let plain = ResolvedPlan::from_bgp(nq.query.clone());
+            (plain, ResolvedPlan::from_bgp(respell(&nq.query)))
+        })
         .collect();
     let picks = zipf_workload(templates.len(), REQUESTS, 0x5e11_e5ee_d5e1_1e5e);
     let mut seen = vec![0usize; templates.len()];
-    let workload: Vec<&Query> = picks
+    let workload: Vec<&ResolvedPlan> = picks
         .iter()
         .map(|&i| {
             seen[i] += 1;
@@ -121,9 +125,9 @@ pub fn run() {
         let req = RequestSpec::default().threads(threads).cached(cached).to_request(rec);
         let t0 = Instant::now();
         let mut fp = 0u64;
-        for query in &workload {
+        for plan in &workload {
             let outcome = server
-                .serve(query, &req)
+                .serve_plan(plan, &req, bundle.graph.dictionary())
                 // mpc-allow: unwrap-expect no fault layer in play, so the request cannot fail
                 .expect("no fault layer in play");
             fp = fold_rows(fp, outcome.rows());

@@ -68,10 +68,10 @@ pub fn run() {
     let crossing_before = part.crossing_property_count();
     let mut server = ServeEngine::new(engine, CACHE_ENTRIES);
 
-    let templates: Vec<&mpc_sparql::Query> = bundle
+    let templates: Vec<mpc_sparql::ResolvedPlan> = bundle
         .benchmark_queries
         .iter()
-        .map(|nq| &nq.query)
+        .map(|nq| mpc_sparql::ResolvedPlan::from_bgp(nq.query.clone()))
         .collect();
 
     // One replay pass over every template on the live front end; the
@@ -80,9 +80,9 @@ pub fn run() {
         let req = RequestSpec::default().threads(threads).cached(cached).to_request(rec);
         let t0 = Instant::now();
         let mut fp = 0u64;
-        for query in &templates {
+        for plan in &templates {
             let outcome = server
-                .serve(query, &req)
+                .serve_plan(plan, &req, bundle.graph.dictionary())
                 // mpc-allow: unwrap-expect no fault layer in play, so the request cannot fail
                 .expect("no fault layer in play");
             fp = fold_rows(fp, outcome.rows());

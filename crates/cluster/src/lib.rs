@@ -13,7 +13,7 @@
 //! * [`vp::VpEngine`] — the edge-disjoint (vertical partitioning) baseline
 //!   with per-pattern routing,
 //! * [`serve::ServeEngine`] — the workload serving front end: canonical
-//!   query keys, plan/result caching, epoch invalidation (docs/SERVING.md),
+//!   plan keys, plan/result caching, epoch invalidation (docs/SERVING.md),
 //! * [`network::NetworkModel`] — charges simulated wire time for every
 //!   shipped binding, replacing the real LAN,
 //! * [`stats::ExecutionStats`] — the QDT / LET / JT / communication
@@ -66,7 +66,7 @@ mod proptests {
         SubjectHashPartitioner, VerticalPartitioner,
     };
     use mpc_rdf::{GraphBuilder, PropertyId, RdfGraph, Term, Triple, VertexId};
-    use mpc_sparql::{evaluate, LocalStore, QLabel, QNode, Query, TriplePattern};
+    use mpc_sparql::{evaluate, LocalStore, QLabel, QNode, Query, ResolvedPlan, TriplePattern};
     use proptest::prelude::*;
 
     fn graph_strategy() -> impl Strategy<Value = RdfGraph> {
@@ -355,8 +355,9 @@ mod proptests {
         }
 
         /// The serving-layer headline contract: across a random workload
-        /// of repeated, respelled queries, a cached [`ServeEngine`]
-        /// returns bit-identical bindings to an uncached engine — before
+        /// of repeated, respelled one-leaf plans, a cached [`ServeEngine`]
+        /// returns bit-identical bindings to uncached serving, and the
+        /// same bag of rows (with the same columns) as `run_plan` — before
         /// AND immediately after an epoch bump (repartition).
         #[test]
         fn serving_is_bit_identical_to_uncached_across_workloads(
@@ -367,17 +368,32 @@ mod proptests {
         ) {
             let partitioning = MpcPartitioner::new(MpcConfig::with_k(k)).partition(&g);
             let build = || DistributedEngine::build(&g, &partitioning, NetworkModel::free());
+            let plans: Vec<ResolvedPlan> =
+                queries.into_iter().map(ResolvedPlan::from_bgp).collect();
+            let dict = g.dictionary();
             let mut serve = ServeEngine::new(build(), 4);
-            let uncached = build();
+            let direct_engine = build();
             let replay_once = |serve: &ServeEngine, mode_flip: bool| -> Result<(), TestCaseError> {
                 for &(qi, star) in &replay {
-                    let query = &queries[qi % queries.len()];
+                    let plan = &plans[qi % plans.len()];
                     let mode = if star != mode_flip { ExecMode::StarOnly } else { ExecMode::CrossingAware };
                     let req = ExecRequest::new().mode(mode);
-                    let served = serve.serve(query, &req).expect("fault-free serving is total");
-                    let direct = uncached.run(query, &req).expect("fault-free execution is total");
-                    prop_assert_eq!(served.rows(), direct.rows(), "query {} mode {:?}", qi, mode);
+                    let served = serve
+                        .serve_plan(plan, &req, dict)
+                        .expect("fault-free serving is total");
+                    let uncached = serve
+                        .serve_plan(plan, &req.clone().cached(false), dict)
+                        .expect("fault-free serving is total");
+                    prop_assert_eq!(served.rows(), uncached.rows(), "query {} mode {:?}", qi, mode);
                     prop_assert!(served.bindings.complete);
+                    let direct = direct_engine
+                        .run_plan(plan, &req, dict)
+                        .expect("fault-free execution is total");
+                    prop_assert_eq!(&served.rows().vars, &direct.rows().vars);
+                    let (mut a, mut b) = (served.rows().rows.clone(), direct.rows().rows.clone());
+                    a.sort_unstable();
+                    b.sort_unstable();
+                    prop_assert_eq!(a, b, "query {} mode {:?}", qi, mode);
                 }
                 Ok(())
             };
@@ -389,9 +405,11 @@ mod proptests {
         }
 
         /// Serving under chaos: fault-layer requests pass through the
-        /// front end uncached, so a ServeEngine and a bare engine driven
-        /// by the same interleaved workload stay in query-sequence
-        /// lockstep — identical rows, completeness, and fault accounting.
+        /// front end uncached, on the original plan, so a ServeEngine and
+        /// a bare engine driven by the same interleaved workload stay in
+        /// query-sequence lockstep — byte-identical rows under chaos, the
+        /// same bag without it, and identical completeness and fault
+        /// accounting throughout.
         #[test]
         fn serving_passes_chaos_requests_through_in_lockstep(
             g in graph_strategy(),
@@ -403,6 +421,9 @@ mod proptests {
         ) {
             let partitioning = MpcPartitioner::new(MpcConfig::with_k(k)).partition(&g);
             let build = || DistributedEngine::build(&g, &partitioning, NetworkModel::free());
+            let plans: Vec<ResolvedPlan> =
+                queries.into_iter().map(ResolvedPlan::from_bgp).collect();
+            let dict = g.dictionary();
             let serve = ServeEngine::new(build(), 4);
             let bare = build();
             let chaos = || FaultSpec::Custom {
@@ -412,15 +433,25 @@ mod proptests {
                 graceful: true,
             };
             for &(qi, with_chaos) in &replay {
-                let query = &queries[qi % queries.len()];
+                let plan = &plans[qi % plans.len()];
                 let req = if with_chaos {
                     ExecRequest::new().fault(chaos())
                 } else {
                     ExecRequest::new()
                 };
-                let served = serve.serve(query, &req).expect("graceful mode never errors");
-                let direct = bare.run(query, &req).expect("graceful mode never errors");
-                prop_assert_eq!(served.rows(), direct.rows(), "query {}", qi);
+                let served = serve
+                    .serve_plan(plan, &req, dict)
+                    .expect("graceful mode never errors");
+                let direct = bare.run_plan(plan, &req, dict).expect("graceful mode never errors");
+                if with_chaos {
+                    prop_assert_eq!(served.rows(), direct.rows(), "query {}", qi);
+                } else {
+                    prop_assert_eq!(&served.rows().vars, &direct.rows().vars);
+                    let (mut a, mut b) = (served.rows().rows.clone(), direct.rows().rows.clone());
+                    a.sort_unstable();
+                    b.sort_unstable();
+                    prop_assert_eq!(a, b, "query {}", qi);
+                }
                 prop_assert_eq!(served.bindings.complete, direct.bindings.complete);
                 prop_assert_eq!(served.stats.faults, direct.stats.faults, "lockstep query_seq");
             }

@@ -1,79 +1,75 @@
-//! The workload serving layer: canonical query keys, a memoized
-//! canonicalization step, and a bounded, **sharded** LRU result cache
-//! with epoch invalidation (docs/SERVING.md).
+//! The workload serving layer: a memoized plan canonicalization step
+//! and a bounded, **sharded** LRU result cache with epoch invalidation
+//! (docs/SERVING.md).
 //!
 //! A served workload repeats the same query templates with cosmetic
 //! variation — renamed variables, reordered patterns, re-parsed
 //! whitespace. [`ServeEngine`] wraps a [`DistributedEngine`] and answers
 //! such repeats from a result cache keyed by the *canonical* form of the
-//! query ([`mpc_sparql::canonicalize`]) plus the engine's **partition
+//! plan ([`mpc_sparql::canonicalize_plan`]) plus the engine's **partition
 //! epoch**: every repartition bumps the epoch, so entries computed over
 //! a stale partitioning can never be returned — they simply stop being
-//! addressable and age out of the LRU.
+//! addressable and age out of the LRU. There is one way in,
+//! [`ServeEngine::serve_plan`]; a caller holding a bare BGP passes its
+//! one-leaf plan ([`ResolvedPlan::from_bgp`]).
 //!
 //! The cache is split into `K` independently mutex-guarded shards
 //! ([`ServeEngine::with_shards`]), each a bounded LRU over its slice of
-//! the capacity. A query's shard is the Fx hash of its canonical pattern
-//! list, so every spelling of a BGP — and every epoch and mode variant
-//! of it — lands in the same shard, and concurrent workers (the
-//! `mpc-server` front end) contend only when they touch the same slice
-//! of the key space. `K = 1` (the [`ServeEngine::new`] default) is
-//! exactly the single-owner LRU this layer shipped with.
+//! the capacity. A plan's shard is the Fx hash of its canonical root, so
+//! every spelling of a plan — and every epoch and mode variant of it —
+//! lands in the same shard, and concurrent workers (the `mpc-server`
+//! front end) contend only when they touch the same slice of the key
+//! space. `K = 1` (the [`ServeEngine::new`] default) is a single LRU.
 //!
-//! The contract is strict: a cache hit returns bindings **bit-identical**
-//! to what an uncached execution of the same request would return
-//! (pinned by the `serving_*` proptests in this crate). Three rules keep
-//! that contract cheap to trust:
+//! What a caller can rely on (pinned by the `serving_*` proptests in
+//! this crate and the tests below):
 //!
-//! * misses execute the *canonical* query and store a copy of its
-//!   canonical bindings; hits restore the requester's variable numbering
-//!   via [`mpc_sparql::CanonicalQuery::restore_bindings`] — a pure
-//!   column permutation, so no cached row is ever reinterpreted;
+//! * a cached answer is **byte-identical** to an uncached one
+//!   ([`ExecRequest::cached`]`(false)`), at any thread count: misses
+//!   execute the *canonical* plan and store a copy of its rows, hits
+//!   hand those rows back, and both relabel the columns the same way
+//!   ([`mpc_sparql::CanonicalPlan::restore_bindings`]) — no cached row
+//!   is ever reinterpreted;
+//! * without a `Slice`, the answer equals [`DistributedEngine::run_plan`]
+//!   on the requester's plan **as a bag**, with equal `vars`. Rows can
+//!   come out in another order, because the canonical leaf numbers its
+//!   variables differently;
+//! * under `LIMIT` / `OFFSET` without a total order, the answer is a
+//!   valid sub-bag of the unsliced answer with the right row count — the
+//!   canonical run may keep different tied rows than `run_plan` would;
 //! * requests with an effective fault layer pass straight through to
-//!   [`DistributedEngine::run`], uncached — fault decisions are keyed on
-//!   the engine's query sequence, and a cache hit would desynchronize
-//!   it (and a degraded answer must never be replayed as authoritative);
-//! * [`ExecRequest::cached`]`(false)` forces a full execution along the
-//!   exact same canonical path, so the only difference is the cache.
+//!   [`DistributedEngine::run_plan`] on the original plan, uncached —
+//!   fault decisions are keyed on the engine's query sequence, and a
+//!   cache hit would desynchronize it (and a degraded answer must never
+//!   be replayed as authoritative).
 use crate::coordinator::{DistributedEngine, ExecMode, ExecOutcome, ExecRequest, PartialBindings};
 use crate::fault::SiteError;
 use crate::stats::ExecutionStats;
 use crate::update::{CommitError, CommitReport, UpdateBatch};
 use mpc_obs::Recorder;
 use mpc_rdf::{Dictionary, FxHashMap, FxHasher};
-use mpc_sparql::{
-    canonicalize, canonicalize_plan, Bindings, CanonicalPlan, CanonicalQuery, PlanNode, Query,
-    ResolvedPlan, TriplePattern,
-};
+use mpc_sparql::{canonicalize_plan, Bindings, CanonicalPlan, PlanNode, ResolvedPlan};
 use parking_lot::Mutex;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A result-cache address: canonical pattern list, canonical variable
-/// count, crossing-aware mode flag, and the partition epoch the entry
-/// was computed under.
-type ResultKey = (Vec<TriplePattern>, usize, bool, u64);
+/// Capacity of the canonicalization memo. Above every benchmark
+/// workload's count of distinct request texts, so a replay never evicts
+/// a memo entry; a client that sends endless distinct texts costs a
+/// labeling search per request instead of unbounded memory.
+const MEMO_ENTRIES: usize = 4096;
 
-/// A raw spelling as the canonicalization memo sees it: the query's
-/// pattern list plus its variable count.
-type RawKey = (Vec<TriplePattern>, usize);
-
-/// A plan-result-cache address: the *canonical* plan root, the
-/// crossing-aware mode flag, and the partition epoch. The canonical
-/// root subsumes patterns, operators, filters, and modifiers, so two
-/// requests share an entry exactly when [`canonicalize_plan`] maps them
-/// to one shape.
-type PlanResultKey = (PlanNode, bool, u64);
+/// A result-cache address: the *canonical* plan root, the crossing-aware
+/// mode flag, and the partition epoch. The canonical root subsumes
+/// patterns, operators, filters, and modifiers, so two requests share an
+/// entry exactly when [`canonicalize_plan`] maps them to one shape.
+type CacheKey = (PlanNode, bool, u64);
 
 /// One cached execution: the canonical bindings plus the stats of the
 /// run that populated the entry. The table is shared, so a hit leaves
 /// the shard lock holding a reference and copies the rows outside it.
-struct CacheEntry {
-    stamp: u64,
-    rows: Arc<Bindings>,
-    stats: ExecutionStats,
-}
+type CachedRun = (Arc<Bindings>, ExecutionStats);
 
 /// What one cache shard has done since construction. Hit/miss/eviction
 /// counts are kept inside the shard lock (no recorder required), so a
@@ -92,25 +88,25 @@ pub struct ShardStats {
     pub evictions: u64,
 }
 
-/// A bounded LRU keyed by `K` ([`ResultKey`] for BGP serving,
-/// [`PlanResultKey`] for algebra plans). Recency is a monotone stamp
-/// bumped on every touch; eviction removes the minimum stamp. The O(n)
-/// eviction scan is deliberate — capacities are small (hundreds), and
-/// the determinism argument ("unique monotone stamps, unique victim")
-/// stays one sentence long. One instance is one **shard**; the
-/// [`ServeEngine`] owns `K` of them behind independent mutexes.
-struct ResultCache<K> {
+/// A bounded LRU from `K` to `V` — one result-cache **shard**, or the
+/// canonicalization memo. Recency is a monotone stamp bumped on every
+/// touch; eviction removes the minimum stamp. The O(n) eviction scan is
+/// deliberate: result shards hold hundreds of entries, the memo only
+/// evicts after [`MEMO_ENTRIES`] distinct texts (and then pays it beside
+/// a labeling search), and the determinism argument ("unique monotone
+/// stamps, unique victim") stays one sentence long.
+struct Lru<K, V> {
     capacity: usize,
     tick: u64,
-    entries: FxHashMap<K, CacheEntry>,
+    entries: FxHashMap<K, (u64, V)>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl<K: Eq + Hash + Clone> ResultCache<K> {
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     fn new(capacity: usize) -> Self {
-        ResultCache {
+        Lru {
             capacity,
             tick: 0,
             entries: FxHashMap::default(),
@@ -120,28 +116,27 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
         }
     }
 
-    fn get(&mut self, key: &K) -> Option<(Arc<Bindings>, ExecutionStats)> {
+    fn get(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
-        let tick = self.tick;
-        let Some(entry) = self.entries.get_mut(key) else {
+        let Some((stamp, value)) = self.entries.get_mut(key) else {
             self.misses += 1;
             return None;
         };
         self.hits += 1;
-        entry.stamp = tick;
-        Some((entry.rows.clone(), entry.stats))
+        *stamp = self.tick;
+        Some(value.clone())
     }
 
     /// Inserts, evicting the least-recently-used entry when full.
     /// Returns true when an eviction happened.
-    fn insert(&mut self, key: K, rows: Arc<Bindings>, stats: ExecutionStats) -> bool {
+    fn insert(&mut self, key: K, value: V) -> bool {
         self.tick += 1;
         let mut evicted = false;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             let victim = self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.stamp)
+                .min_by_key(|(_, (stamp, _))| *stamp)
                 .map(|(k, _)| k.clone());
             if let Some(victim) = victim {
                 self.entries.remove(&victim);
@@ -149,14 +144,7 @@ impl<K: Eq + Hash + Clone> ResultCache<K> {
                 evicted = true;
             }
         }
-        self.entries.insert(
-            key,
-            CacheEntry {
-                stamp: self.tick,
-                rows,
-                stats,
-            },
-        );
+        self.entries.insert(key, (self.tick, value));
         evicted
     }
 
@@ -204,26 +192,27 @@ pub struct CommitOptions {
     pub snapshot_dir: Option<std::path::PathBuf>,
 }
 
-/// A query-serving front end over a [`DistributedEngine`]: canonical
-/// keys, memoized canonicalization, and a bounded result cache that the
-/// partition epoch invalidates wholesale. See the [module docs](self)
-/// for the bit-identical contract.
+/// A query-serving front end over a [`DistributedEngine`]: memoized
+/// plan canonicalization and a bounded result cache that the partition
+/// epoch invalidates wholesale. See the [module docs](self) for what a
+/// served answer guarantees.
 ///
 /// ```
 /// # use mpc_cluster::{DistributedEngine, ExecRequest, NetworkModel, ServeEngine};
 /// # use mpc_core::{MpcConfig, MpcPartitioner, Partitioner};
 /// # use mpc_rdf::{PropertyId, RdfGraph, Triple, VertexId};
-/// # use mpc_sparql::{QLabel, QNode, Query, TriplePattern};
+/// # use mpc_sparql::{QLabel, QNode, Query, ResolvedPlan, TriplePattern};
 /// # let g = RdfGraph::from_raw(4, 1, vec![Triple::new(VertexId(0), PropertyId(0), VertexId(1))]);
 /// # let part = MpcPartitioner::new(MpcConfig::with_k(2)).partition(&g);
 /// let engine = DistributedEngine::build(&g, &part, NetworkModel::free());
 /// let serve = ServeEngine::new(engine, 128);
-/// let query = Query::new(
+/// let plan = ResolvedPlan::from_bgp(Query::new(
 ///     vec![TriplePattern::new(QNode::Var(0), QLabel::Prop(PropertyId(0)), QNode::Var(1))],
 ///     vec!["s".into(), "o".into()],
-/// );
-/// let first = serve.serve(&query, &ExecRequest::new()).unwrap();
-/// let again = serve.serve(&query, &ExecRequest::new()).unwrap(); // cache hit
+/// ));
+/// let req = ExecRequest::new();
+/// let first = serve.serve_plan(&plan, &req, g.dictionary()).unwrap();
+/// let again = serve.serve_plan(&plan, &req, g.dictionary()).unwrap(); // cache hit
 /// assert_eq!(first.rows(), again.rows());
 /// ```
 pub struct ServeEngine {
@@ -232,24 +221,15 @@ pub struct ServeEngine {
     /// Moved by [`Self::commit`] / [`Self::transition`], which makes
     /// every existing entry unaddressable at once.
     epoch: AtomicU64,
-    /// Canonicalization memo: raw (patterns, var count) → the canonical
-    /// query and the restore map. Pure function of the query, so never
-    /// invalidated (unbounded, like the engine's own plan cache).
-    canon_memo: Mutex<FxHashMap<RawKey, Arc<CanonicalQuery>>>,
-    /// Plan canonicalization memo for [`Self::serve_plan`]: the raw
-    /// plan with variable names blanked (renamed spellings share an
-    /// entry) → its [`CanonicalPlan`]. Pure, so never invalidated.
-    plan_memo: Mutex<FxHashMap<ResolvedPlan, Arc<CanonicalPlan>>>,
+    /// Canonicalization memo: the raw plan with variable names blanked
+    /// (renamed spellings share an entry) → its [`CanonicalPlan`]. Pure,
+    /// so never invalidated; bounded at [`MEMO_ENTRIES`].
+    memo: Mutex<Lru<ResolvedPlan, Arc<CanonicalPlan>>>,
     /// The sharded result cache: each shard is an independent bounded
-    /// LRU behind its own mutex. A query's shard is the Fx hash of its
-    /// canonical pattern list (epoch and mode excluded, so every
-    /// variant of one BGP shares a shard).
-    shards: Vec<Mutex<ResultCache<ResultKey>>>,
-    /// The algebra-plan result cache, sharded like `shards` (one shard
-    /// per index, same per-shard capacity). Keyed by canonical plan
-    /// root, so it holds OPTIONAL / UNION / ORDER BY results the
-    /// pattern-list key cannot address.
-    plan_shards: Vec<Mutex<ResultCache<PlanResultKey>>>,
+    /// LRU behind its own mutex. A plan's shard is the Fx hash of its
+    /// canonical root (epoch and mode excluded, so every variant of one
+    /// plan shape shares a shard).
+    shards: Vec<Mutex<Lru<CacheKey, CachedRun>>>,
     cache_capacity: usize,
 }
 
@@ -279,14 +259,8 @@ impl ServeEngine {
         ServeEngine {
             inner,
             epoch: AtomicU64::new(0),
-            canon_memo: Mutex::new(FxHashMap::default()),
-            plan_memo: Mutex::new(FxHashMap::default()),
-            shards: (0..shards)
-                .map(|_| Mutex::new(ResultCache::new(per_shard)))
-                .collect(),
-            plan_shards: (0..shards)
-                .map(|_| Mutex::new(ResultCache::new(per_shard)))
-                .collect(),
+            memo: Mutex::new(Lru::new(MEMO_ENTRIES)),
+            shards: (0..shards).map(|_| Mutex::new(Lru::new(per_shard))).collect(),
             cache_capacity: cache_entries,
         }
     }
@@ -308,8 +282,8 @@ impl ServeEngine {
     /// lifecycle entry point for every epoch change that is not a data
     /// commit (those go through [`Self::commit`]). Every cached result
     /// keys on the epoch, so any transition makes all existing entries
-    /// unaddressable at once. The canonicalization memos survive every
-    /// transition: they are partition-independent pure functions.
+    /// unaddressable at once. The canonicalization memo survives every
+    /// transition: it is a partition-independent pure function.
     ///
     /// Returns the epoch now being served.
     pub fn transition(&mut self, transition: EpochTransition) -> u64 {
@@ -374,12 +348,10 @@ impl ServeEngine {
         Ok(report)
     }
 
-    /// Number of live result-cache entries across all shards of both
-    /// key spaces (stale epochs included until they age out).
+    /// Number of live result-cache entries across all shards (stale
+    /// epochs included until they age out).
     pub fn cache_len(&self) -> usize {
-        let bgp: usize = self.shards.iter().map(|s| s.lock().entries.len()).sum();
-        let plan: usize = self.plan_shards.iter().map(|p| p.lock().entries.len()).sum();
-        bgp + plan
+        self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
     /// The configured result-cache capacity.
@@ -393,131 +365,52 @@ impl ServeEngine {
     }
 
     /// A per-shard snapshot of entry counts and hit/miss/eviction
-    /// totals, in shard order (each index sums the BGP and plan caches'
-    /// shard at that index). Each shard is snapshotted under its own
+    /// totals, in shard order. Each shard is snapshotted under its own
     /// lock; the vector as a whole is not one atomic observation.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .zip(&self.plan_shards)
-            .map(|(a, b)| {
-                let (a, b) = (a.lock().stats(), b.lock().stats());
-                ShardStats {
-                    entries: a.entries + b.entries,
-                    hits: a.hits + b.hits,
-                    misses: a.misses + b.misses,
-                    evictions: a.evictions + b.evictions,
-                }
-            })
-            .collect()
+        self.shards.iter().map(|s| s.lock().stats()).collect()
     }
 
-    /// The shard owning a canonical query: Fx hash of the canonical
-    /// pattern list + var count, mod the shard count. Mode and epoch are
-    /// deliberately excluded so every variant of one BGP colocates.
-    // The modulus is a usize shard count, so the remainder fits.
-    #[allow(clippy::cast_possible_truncation)]
-    fn shard_for(&self, canon: &CanonicalQuery) -> usize {
-        let mut h = FxHasher::default();
-        canon.query.patterns.hash(&mut h);
-        canon.query.var_count().hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
-    }
-
-    /// Serves one request. Identical in results to
-    /// [`DistributedEngine::run`] on the same request — the cache can
-    /// change only *when* work happens, never what comes back. On a hit,
-    /// `stats` are those of the execution that populated the entry.
+    /// Serves one resolved algebra plan ([`mpc_sparql::parse`] →
+    /// [`mpc_sparql::Algebra::resolve`], or [`ResolvedPlan::from_bgp`]
+    /// for a bare BGP) — the one way into the serving layer. The answer
+    /// is byte-identical to this call with [`ExecRequest::cached`]`(false)`
+    /// at any thread count. Against [`DistributedEngine::run_plan`] on the
+    /// same request it is equal as a bag, with equal `vars`, unless a
+    /// `Slice` cuts an order with ties: then it is a sub-bag of the
+    /// unsliced answer with the right row count (see the [module
+    /// docs](self)). On a hit, `stats` are those of the execution that
+    /// populated the entry.
+    ///
+    /// Misses execute the **canonical** plan (so hits restore cached
+    /// rows verbatim — the resolver's root projection makes original
+    /// and canonical output columns correspond pointwise). Requests with
+    /// an effective fault layer pass straight through to
+    /// [`DistributedEngine::run_plan`] on the original plan, uncached.
     ///
     /// Counters (when `req.recorder` is live): `serve.plan.hit` /
     /// `serve.plan.miss` for the canonicalization memo and
     /// `serve.cache.hit` / `serve.cache.miss` / `serve.cache.evict` for
     /// the result cache. Fault-layer pass-throughs record neither.
-    pub fn serve(&self, query: &Query, req: &ExecRequest) -> Result<ExecOutcome, SiteError> {
-        // Chaos requests pass through uncached so the engine's query
-        // sequence advances exactly as it would without a front end.
-        if self.inner.fault_effective(req) {
-            return self.inner.run(query, req);
-        }
-        let rec = &req.recorder;
-        let canon = self.lookup_canon(query, rec);
-        // Key and shard are only worked out for requests that may use them.
-        let slot = (req.cached && self.cache_capacity > 0).then(|| {
-            let key = (
-                canon.query.patterns.clone(),
-                canon.query.var_count(),
-                req.mode == ExecMode::CrossingAware,
-                self.epoch(),
-            );
-            (key, &self.shards[self.shard_for(&canon)])
-        });
-        if let Some((key, shard)) = &slot {
-            let hit = shard.lock().get(key);
-            if let Some((rows, stats)) = hit {
-                rec.incr("serve.cache.hit");
-                let rows = canon.restore_bindings(Bindings::clone(&rows));
-                return Ok(complete_outcome(rows, stats));
-            }
-            rec.incr("serve.cache.miss");
-        }
-        let (partial, stats) = self.inner.run(&canon.query, req)?.into_parts();
-        if let Some((key, shard)) = slot {
-            let evicted = shard.lock().insert(key, compact_copy(&partial.rows), stats);
-            if evicted {
-                rec.incr("serve.cache.evict");
-            }
-        }
-        Ok(complete_outcome(canon.restore_bindings(partial.rows), stats))
-    }
-
-    /// Canonicalization memo lookup (`serve.plan.*`). Keyed by the raw
-    /// pattern list so every spelling pays the labeling search once.
-    fn lookup_canon(&self, query: &Query, rec: &Recorder) -> Arc<CanonicalQuery> {
-        let key = (query.patterns.clone(), query.var_count());
-        if let Some(canon) = self.canon_memo.lock().get(&key) {
-            rec.incr("serve.plan.hit");
-            return canon.clone();
-        }
-        rec.incr("serve.plan.miss");
-        let canon = Arc::new(canonicalize(query));
-        self.canon_memo.lock().insert(key, canon.clone());
-        canon
-    }
-
-    /// Serves one resolved algebra plan ([`mpc_sparql::parse`] →
-    /// [`mpc_sparql::Algebra::resolve`]) — the plan-level counterpart of
-    /// [`Self::serve`], and the path `mpc serve` / `mpc-server` use.
-    /// Identical in results to [`DistributedEngine::run_plan`] on the
-    /// same request; the same `serve.plan.*` / `serve.cache.*` counters
-    /// apply.
-    ///
-    /// Misses execute the **canonical** plan (so hits restore cached
-    /// rows verbatim — the resolver's root projection makes original
-    /// and canonical output columns correspond pointwise), and requests
-    /// with an effective fault layer pass straight through to the
-    /// engine, uncached, exactly like BGP serving.
     pub fn serve_plan(
         &self,
         plan: &ResolvedPlan,
         req: &ExecRequest,
         dict: &Dictionary,
     ) -> Result<ExecOutcome, SiteError> {
+        // Chaos requests pass through uncached so the engine's query
+        // sequence advances exactly as it would without a front end.
         if self.inner.fault_effective(req) {
             return self.inner.run_plan(plan, req, dict);
         }
         let rec = &req.recorder;
-        let canon = self.lookup_plan_canon(plan, rec);
+        let canon = self.canonical(plan, rec);
         // Key and shard are only worked out for requests that may use them.
         let slot = (req.cached && self.cache_capacity > 0).then(|| {
-            let key = (
-                canon.plan.root.clone(),
-                req.mode == ExecMode::CrossingAware,
-                self.epoch(),
-            );
-            (
-                key,
-                &self.plan_shards[self.plan_shard_for(&canon.plan.root)],
-            )
+            let root = &canon.plan.root;
+            let shard = &self.shards[self.shard_index(root)];
+            let key = (root.clone(), req.mode == ExecMode::CrossingAware, self.epoch());
+            (key, shard)
         });
         if let Some((key, shard)) = &slot {
             let hit = shard.lock().get(key);
@@ -530,7 +423,7 @@ impl ServeEngine {
         }
         let (partial, stats) = self.inner.run_plan(&canon.plan, req, dict)?.into_parts();
         if let Some((key, shard)) = slot {
-            let evicted = shard.lock().insert(key, compact_copy(&partial.rows), stats);
+            let evicted = shard.lock().insert(key, (compact_copy(&partial.rows), stats));
             if evicted {
                 rec.incr("serve.cache.evict");
             }
@@ -538,31 +431,31 @@ impl ServeEngine {
         Ok(complete_outcome(canon.restore_bindings(partial.rows), stats))
     }
 
-    /// Plan canonicalization memo lookup (`serve.plan.*`): blanks the
+    /// Canonicalization memo lookup (`serve.plan.*`): blanks the
     /// variable names (they are presentation, not semantics — resolve
     /// assigns ids by occurrence position, so renamed spellings are
     /// structurally identical) and memoizes the labeling search.
-    fn lookup_plan_canon(&self, plan: &ResolvedPlan, rec: &Recorder) -> Arc<CanonicalPlan> {
+    fn canonical(&self, plan: &ResolvedPlan, rec: &Recorder) -> Arc<CanonicalPlan> {
         let key = strip_var_names(plan);
-        if let Some(canon) = self.plan_memo.lock().get(&key) {
+        if let Some(canon) = self.memo.lock().get(&key) {
             rec.incr("serve.plan.hit");
-            return canon.clone();
+            return canon;
         }
         rec.incr("serve.plan.miss");
         let canon = Arc::new(canonicalize_plan(&key));
-        self.plan_memo.lock().insert(key, canon.clone());
+        self.memo.lock().insert(key, canon.clone());
         canon
     }
 
-    /// The plan-cache shard owning a canonical plan root: Fx hash of
-    /// the root, mod the shard count (mode and epoch excluded, so every
-    /// variant of one plan shape colocates).
+    /// The shard owning a canonical plan root: Fx hash of the root, mod
+    /// the shard count (mode and epoch excluded, so every variant of one
+    /// plan shape colocates).
     // The modulus is a usize shard count, so the remainder fits.
     #[allow(clippy::cast_possible_truncation)]
-    fn plan_shard_for(&self, root: &PlanNode) -> usize {
+    fn shard_index(&self, root: &PlanNode) -> usize {
         let mut h = FxHasher::default();
         root.hash(&mut h);
-        (h.finish() % self.plan_shards.len() as u64) as usize
+        (h.finish() % self.shards.len() as u64) as usize
     }
 }
 
@@ -623,7 +516,7 @@ mod tests {
     use crate::retry::RetryPolicy;
     use mpc_core::{MpcConfig, MpcPartitioner, Partitioner};
     use mpc_rdf::{PropertyId, RdfGraph, Triple, VertexId};
-    use mpc_sparql::{evaluate, LocalStore, QLabel, QNode};
+    use mpc_sparql::{eval_plan_local, LocalStore, QLabel, QNode, Query, TriplePattern};
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(VertexId(s), PropertyId(p), VertexId(o))
@@ -637,8 +530,9 @@ mod tests {
         QLabel::Prop(PropertyId(i))
     }
 
-    fn q(patterns: Vec<TriplePattern>, nvars: u32) -> Query {
-        Query::new(patterns, (0..nvars).map(|i| format!("v{i}")).collect())
+    fn q(patterns: Vec<TriplePattern>, nvars: u32) -> ResolvedPlan {
+        let names = (0..nvars).map(|i| format!("v{i}")).collect();
+        ResolvedPlan::from_bgp(Query::new(patterns, names))
     }
 
     fn dataset() -> RdfGraph {
@@ -664,11 +558,32 @@ mod tests {
         ServeEngine::new(engine(g), entries)
     }
 
-    fn reference(g: &RdfGraph, query: &Query) -> Bindings {
-        evaluate(query, &LocalStore::from_graph(g))
+    /// Serves `plan` over `g`, which must be fault-free.
+    fn served(
+        engine: &ServeEngine,
+        g: &RdfGraph,
+        plan: &ResolvedPlan,
+        req: &ExecRequest,
+    ) -> Bindings {
+        engine
+            .serve_plan(plan, req, g.dictionary())
+            .expect("fault-free serving is total")
+            .bindings
+            .rows
     }
 
-    fn path_query() -> Query {
+    fn reference(g: &RdfGraph, plan: &ResolvedPlan) -> Bindings {
+        eval_plan_local(plan, &LocalStore::from_graph(g), g.dictionary())
+    }
+
+    /// `rows` with its rows sorted: what a bag comparison looks at.
+    fn bag(rows: &Bindings) -> Bindings {
+        let mut out = rows.clone();
+        out.rows.sort_unstable();
+        out
+    }
+
+    fn path_query() -> ResolvedPlan {
         q(
             vec![
                 TriplePattern::new(v(0), prop(0), v(1)),
@@ -678,8 +593,22 @@ mod tests {
         )
     }
 
-    /// The same BGP with variables renamed and patterns reordered.
-    fn path_query_respelled() -> Query {
+    /// The same BGP with its patterns reordered and its variables
+    /// renamed: the columns still correspond pointwise.
+    fn path_query_reordered() -> ResolvedPlan {
+        let names = ["s", "m", "e"].map(String::from).to_vec();
+        ResolvedPlan::from_bgp(Query::new(
+            vec![
+                TriplePattern::new(v(1), prop(2), v(2)),
+                TriplePattern::new(v(0), prop(0), v(1)),
+            ],
+            names,
+        ))
+    }
+
+    /// The same BGP numbered from the middle vertex: `SELECT *` over it
+    /// answers (?mid, ?start, ?end), so it is a different plan.
+    fn path_query_renumbered() -> ResolvedPlan {
         q(
             vec![
                 TriplePattern::new(v(0), prop(2), v(2)),
@@ -687,28 +616,35 @@ mod tests {
             ],
             3,
         )
-        // ?1 -p0-> ?0 -p2-> ?2 : same shape, different spelling. The
-        // canonical answer restores to THIS query's variable numbering.
     }
 
     #[test]
     fn hits_are_bit_identical_to_uncached_and_counted() {
-        let g = dataset();
-        let serve = serve_engine(&g, 8);
-        let query = path_query();
-        let rec = Recorder::enabled();
-        let req = ExecRequest::new().traced(&rec);
-        let first = serve.serve(&query, &req).unwrap();
-        let second = serve.serve(&query, &req).unwrap();
-        let uncached = serve.serve(&query, &req.clone().cached(false)).unwrap();
-        assert_eq!(first.rows(), second.rows());
-        assert_eq!(first.rows(), uncached.rows());
-        assert_eq!(first.rows(), &reference(&g, &query));
-        assert_eq!(rec.counter("serve.cache.miss"), Some(1));
-        assert_eq!(rec.counter("serve.cache.hit"), Some(1));
-        assert_eq!(rec.counter("serve.plan.miss"), Some(1));
-        assert_eq!(rec.counter("serve.plan.hit"), Some(2));
-        assert_eq!(serve.cache_len(), 1);
+        let bgp = dataset();
+        let iri = iri_dataset();
+        let optional = plan_of(
+            &iri,
+            "SELECT * WHERE { ?a <urn:p:0> ?b OPTIONAL { ?b <urn:p:2> ?c } } ORDER BY ?b",
+        );
+        for (g, plan) in [(&bgp, path_query()), (&iri, optional)] {
+            let serve = serve_engine(g, 8);
+            let rec = Recorder::enabled();
+            let req = ExecRequest::new().traced(&rec);
+            let first = serve.serve_plan(&plan, &req, g.dictionary()).unwrap();
+            let second = serve.serve_plan(&plan, &req, g.dictionary()).unwrap();
+            let uncached = serve
+                .serve_plan(&plan, &req.clone().cached(false), g.dictionary())
+                .unwrap();
+            assert_eq!(first.rows(), second.rows());
+            assert_eq!(first.rows(), uncached.rows());
+            assert_eq!(first.stats.result_rows, second.stats.result_rows);
+            assert_eq!(bag(first.rows()), bag(&reference(g, &plan)));
+            assert_eq!(rec.counter("serve.cache.miss"), Some(1));
+            assert_eq!(rec.counter("serve.cache.hit"), Some(1));
+            assert_eq!(rec.counter("serve.plan.miss"), Some(1));
+            assert_eq!(rec.counter("serve.plan.hit"), Some(2));
+            assert_eq!(serve.cache_len(), 1);
+        }
     }
 
     #[test]
@@ -717,12 +653,38 @@ mod tests {
         let serve = serve_engine(&g, 8);
         let rec = Recorder::enabled();
         let req = ExecRequest::new().traced(&rec);
-        let a = serve.serve(&path_query(), &req).unwrap();
-        let b = serve.serve(&path_query_respelled(), &req).unwrap();
+        let a = served(&serve, &g, &path_query(), &req);
+        let b = served(&serve, &g, &path_query_reordered(), &req);
         assert_eq!(serve.cache_len(), 1, "one canonical entry for both spellings");
         assert_eq!(rec.counter("serve.cache.hit"), Some(1));
-        assert_eq!(a.rows(), &reference(&g, &path_query()));
-        assert_eq!(b.rows(), &reference(&g, &path_query_respelled()));
+        assert_eq!(a, b);
+        // Numbered from the middle, the columns come out in another
+        // order: a second entry, answering with its own columns.
+        let renumbered = path_query_renumbered();
+        let c = served(&serve, &g, &renumbered, &req);
+        assert_eq!(serve.cache_len(), 2);
+        assert_eq!(bag(&c), bag(&reference(&g, &renumbered)));
+
+        // Renamed spellings of an operator plan share the memo entry too.
+        let g = iri_dataset();
+        let serve = serve_engine(&g, 8);
+        let a = plan_of(
+            &g,
+            "SELECT ?x WHERE { ?x <urn:p:2> ?y FILTER(?x != ?y) } ORDER BY ?x",
+        );
+        let b = plan_of(
+            &g,
+            "SELECT ?s WHERE { ?s <urn:p:2> ?o FILTER(?s != ?o) } ORDER BY ?s",
+        );
+        let rec = Recorder::enabled();
+        let req = ExecRequest::new().traced(&rec);
+        let ra = served(&serve, &g, &a, &req);
+        let rb = served(&serve, &g, &b, &req);
+        assert_eq!(serve.cache_len(), 1, "renamed spellings share one entry");
+        assert_eq!(rec.counter("serve.cache.hit"), Some(1));
+        assert_eq!(rec.counter("serve.plan.hit"), Some(1), "memo shared too");
+        assert_eq!(ra, rb);
+        assert_eq!(ra, reference(&g, &a));
     }
 
     #[test]
@@ -732,18 +694,19 @@ mod tests {
         let query = path_query();
         let rec = Recorder::enabled();
         let req = ExecRequest::new().traced(&rec);
-        let before = serve.serve(&query, &req).unwrap();
+        let before = served(&serve, &g, &query, &req);
         assert_eq!(serve.epoch(), 0);
-        assert_eq!(serve.transition(EpochTransition::Repartition(Box::new(engine(&g)))), 1);
+        let next = EpochTransition::Repartition(Box::new(engine(&g)));
+        assert_eq!(serve.transition(next), 1);
         assert_eq!(serve.epoch(), 1);
         // The stale entry is unaddressable: the next serve is a miss and
         // recomputes over the new engine.
-        let after = serve.serve(&query, &req).unwrap();
+        let after = served(&serve, &g, &query, &req);
         assert_eq!(rec.counter("serve.cache.miss"), Some(2));
         assert_eq!(rec.counter("serve.cache.hit"), None);
-        assert_eq!(before.rows(), after.rows());
+        assert_eq!(before, after);
         // And the new entry serves hits again.
-        let _ = serve.serve(&query, &req).unwrap();
+        let _ = served(&serve, &g, &query, &req);
         assert_eq!(rec.counter("serve.cache.hit"), Some(1));
     }
 
@@ -757,7 +720,7 @@ mod tests {
         let query = path_query();
         let rec = Recorder::enabled();
         let req = ExecRequest::new().traced(&rec);
-        let before = serve.serve(&query, &req).unwrap();
+        let before = served(&serve, &g, &query, &req);
         assert_eq!(serve.epoch(), 0);
 
         // (1,p0,2) exists, so inserting (2,p2,9) adds the row (1,2,9);
@@ -774,14 +737,14 @@ mod tests {
 
         // The pre-commit entry is unaddressable: a miss recomputes over
         // the committed data and matches a from-scratch rebuild.
-        let after = serve.serve(&query, &req).unwrap();
+        let after = served(&serve, &g, &query, &req);
         assert_eq!(rec.counter("serve.cache.miss"), Some(2));
         assert_eq!(rec.counter("serve.cache.hit"), None);
-        assert_ne!(before.rows(), after.rows());
+        assert_ne!(before, after);
         let (live_g, _) = serve.engine().live_dataset().unwrap();
-        assert_eq!(after.rows(), &reference(&live_g, &query));
+        assert_eq!(bag(&after), bag(&reference(&live_g, &query)));
         // And the post-commit entry serves hits again.
-        let _ = serve.serve(&query, &req).unwrap();
+        let _ = served(&serve, &g, &query, &req);
         assert_eq!(rec.counter("serve.cache.hit"), Some(1));
         assert_eq!(rec.counter("update.commit"), Some(1));
     }
@@ -795,16 +758,16 @@ mod tests {
         let q0 = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
         let q1 = q(vec![TriplePattern::new(v(0), prop(1), v(1))], 2);
         let q2 = q(vec![TriplePattern::new(v(0), prop(2), v(1))], 2);
-        let _ = serve.serve(&q0, &req).unwrap();
-        let _ = serve.serve(&q1, &req).unwrap();
-        let _ = serve.serve(&q0, &req).unwrap(); // q0 recent, q1 is LRU
-        let _ = serve.serve(&q2, &req).unwrap(); // evicts q1
+        let _ = served(&serve, &g, &q0, &req);
+        let _ = served(&serve, &g, &q1, &req);
+        let _ = served(&serve, &g, &q0, &req); // q0 recent, q1 is LRU
+        let _ = served(&serve, &g, &q2, &req); // evicts q1
         assert_eq!(rec.counter("serve.cache.evict"), Some(1));
         assert_eq!(serve.cache_len(), 2);
         let hits_before = rec.counter("serve.cache.hit");
-        let _ = serve.serve(&q0, &req).unwrap(); // still cached
+        let _ = served(&serve, &g, &q0, &req); // still cached
         assert_eq!(rec.counter("serve.cache.hit"), hits_before.map(|h| h + 1));
-        let _ = serve.serve(&q1, &req).unwrap(); // evicted → miss
+        let _ = served(&serve, &g, &q1, &req); // evicted → miss
         assert_eq!(rec.counter("serve.cache.miss"), Some(4));
     }
 
@@ -815,9 +778,9 @@ mod tests {
         let query = path_query();
         let rec = Recorder::enabled();
         let req = ExecRequest::new().traced(&rec);
-        let a = serve.serve(&query, &req).unwrap();
-        let b = serve.serve(&query, &req).unwrap();
-        assert_eq!(a.rows(), b.rows());
+        let a = served(&serve, &g, &query, &req);
+        let b = served(&serve, &g, &query, &req);
+        assert_eq!(a, b);
         assert_eq!(serve.cache_len(), 0);
         assert_eq!(rec.counter("serve.cache.hit"), None);
         assert_eq!(rec.counter("serve.cache.miss"), None);
@@ -826,18 +789,36 @@ mod tests {
     }
 
     #[test]
+    fn memo_is_bounded_and_evicts_the_least_recent_plan() {
+        let g = dataset();
+        let serve = serve_engine(&g, 0);
+        let rec = Recorder::enabled();
+        let req = ExecRequest::new().traced(&rec);
+        let first = path_query();
+        let rows = served(&serve, &g, &first, &req);
+        // MEMO_ENTRIES more distinct plans: the first one ages out.
+        for limit in 0..MEMO_ENTRIES {
+            let mut sliced = path_query();
+            sliced.root = PlanNode::Slice(Box::new(sliced.root), 0, Some(limit));
+            let _ = served(&serve, &g, &sliced, &req);
+        }
+        assert!(serve.memo.lock().entries.len() <= MEMO_ENTRIES);
+        let misses = rec.counter("serve.plan.miss");
+        assert_eq!(misses, Some(MEMO_ENTRIES as u64 + 1));
+        assert_eq!(served(&serve, &g, &first, &req), rows);
+        assert_eq!(rec.counter("serve.plan.miss"), misses.map(|m| m + 1));
+        assert_eq!(rec.counter("serve.plan.hit"), None);
+    }
+
+    #[test]
     fn modes_cache_separately_but_agree_on_rows() {
         let g = dataset();
         let serve = serve_engine(&g, 8);
         let query = path_query();
-        let a = serve
-            .serve(&query, &ExecRequest::new().mode(ExecMode::CrossingAware))
-            .unwrap();
-        let b = serve
-            .serve(&query, &ExecRequest::new().mode(ExecMode::StarOnly))
-            .unwrap();
+        let a = served(&serve, &g, &query, &ExecRequest::new().mode(ExecMode::CrossingAware));
+        let b = served(&serve, &g, &query, &ExecRequest::new().mode(ExecMode::StarOnly));
         assert_eq!(serve.cache_len(), 2);
-        assert_eq!(a.rows(), b.rows());
+        assert_eq!(bag(&a), bag(&b));
     }
 
     #[test]
@@ -861,14 +842,14 @@ mod tests {
             q(vec![TriplePattern::new(v(0), prop(1), v(1))], 2),
             q(vec![TriplePattern::new(v(0), prop(2), v(1))], 2),
             path_query(),
-            path_query_respelled(),
+            path_query_reordered(),
         ];
         for round in 0..3 {
             for query in &queries {
-                let a = single.serve(query, &ExecRequest::new()).unwrap();
-                let b = sharded.serve(query, &req).unwrap();
-                assert_eq!(a.rows(), b.rows(), "round {round}");
-                assert_eq!(b.rows(), &reference(&g, query), "round {round}");
+                let a = served(&single, &g, query, &ExecRequest::new());
+                let b = served(&sharded, &g, query, &req);
+                assert_eq!(a, b, "round {round}");
+                assert_eq!(bag(&b), bag(&reference(&g, query)), "round {round}");
             }
         }
         // 4 canonical entries (the two path spellings share one), each
@@ -904,12 +885,11 @@ mod tests {
         ];
         let before: Vec<_> = queries
             .iter()
-            .map(|query| sharded.serve(query, &req).unwrap())
+            .map(|query| served(&sharded, &g, query, &req))
             .collect();
         sharded.transition(EpochTransition::Repartition(Box::new(engine(&g))));
         for (query, old) in queries.iter().zip(&before) {
-            let fresh = sharded.serve(query, &req).unwrap();
-            assert_eq!(fresh.rows(), old.rows());
+            assert_eq!(&served(&sharded, &g, query, &req), old);
         }
         // All 6 serves were misses: the epoch bump made every shard's
         // entries unaddressable at once.
@@ -926,8 +906,8 @@ mod tests {
         let off = ServeEngine::with_shards(engine(&g), 0, 4);
         let rec = Recorder::enabled();
         let req = ExecRequest::new().traced(&rec);
-        let _ = off.serve(&path_query(), &req).unwrap();
-        let _ = off.serve(&path_query(), &req).unwrap();
+        let _ = served(&off, &g, &path_query(), &req);
+        let _ = served(&off, &g, &path_query(), &req);
         assert_eq!(off.cache_len(), 0);
         assert_eq!(rec.counter("serve.cache.hit"), None);
         assert!(off.shard_stats().iter().all(|s| *s == ShardStats::default()));
@@ -946,7 +926,7 @@ mod tests {
         b.build()
     }
 
-    fn plan_of(g: &RdfGraph, text: &str) -> mpc_sparql::ResolvedPlan {
+    fn plan_of(g: &RdfGraph, text: &str) -> ResolvedPlan {
         mpc_sparql::parse(text)
             .expect("test query parses")
             .resolve(g.dictionary())
@@ -954,57 +934,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_hits_are_bit_identical_to_uncached_and_counted() {
-        let g = iri_dataset();
-        let serve = serve_engine(&g, 8);
-        let text = "SELECT * WHERE { ?a <urn:p:0> ?b OPTIONAL { ?b <urn:p:2> ?c } } ORDER BY ?b";
-        let plan = plan_of(&g, text);
-        let rec = Recorder::enabled();
-        let req = ExecRequest::new().traced(&rec);
-        let first = serve.serve_plan(&plan, &req, g.dictionary()).unwrap();
-        let second = serve.serve_plan(&plan, &req, g.dictionary()).unwrap();
-        let uncached = serve
-            .serve_plan(&plan, &req.clone().cached(false), g.dictionary())
-            .unwrap();
-        assert_eq!(first.rows(), second.rows());
-        assert_eq!(first.rows(), uncached.rows());
-        assert_eq!(rec.counter("serve.cache.miss"), Some(1));
-        assert_eq!(rec.counter("serve.cache.hit"), Some(1));
-        assert_eq!(rec.counter("serve.plan.miss"), Some(1));
-        assert_eq!(rec.counter("serve.plan.hit"), Some(2));
-        assert_eq!(serve.cache_len(), 1);
-    }
-
-    #[test]
-    fn renamed_plan_spellings_share_one_entry_and_columns() {
-        let g = iri_dataset();
-        let serve = serve_engine(&g, 8);
-        let a = plan_of(
-            &g,
-            "SELECT ?x WHERE { ?x <urn:p:2> ?y FILTER(?x != ?y) } ORDER BY ?x",
-        );
-        let b = plan_of(
-            &g,
-            "SELECT ?s WHERE { ?s <urn:p:2> ?o FILTER(?s != ?o) } ORDER BY ?s",
-        );
-        let rec = Recorder::enabled();
-        let req = ExecRequest::new().traced(&rec);
-        let ra = serve.serve_plan(&a, &req, g.dictionary()).unwrap();
-        let rb = serve.serve_plan(&b, &req, g.dictionary()).unwrap();
-        assert_eq!(serve.cache_len(), 1, "renamed spellings share one entry");
-        assert_eq!(rec.counter("serve.cache.hit"), Some(1));
-        assert_eq!(rec.counter("serve.plan.hit"), Some(1), "memo shared too");
-        assert_eq!(ra.rows(), rb.rows());
-        let store = LocalStore::from_graph(&g);
-        let central = mpc_sparql::eval_plan_local(&a, &store, g.dictionary());
-        assert_eq!(ra.rows(), &central);
-    }
-
-    #[test]
     fn distinct_plans_cache_apart_from_their_bag_forms() {
         let g = iri_dataset();
         let serve = serve_engine(&g, 8);
-        let bag = plan_of(
+        let bag_form = plan_of(
             &g,
             "SELECT ?a WHERE { { ?a <urn:p:2> ?b } UNION { ?a <urn:p:2> ?c } }",
         );
@@ -1013,29 +946,48 @@ mod tests {
             "SELECT DISTINCT ?a WHERE { { ?a <urn:p:2> ?b } UNION { ?a <urn:p:2> ?c } }",
         );
         let req = ExecRequest::new();
-        let rb = serve.serve_plan(&bag, &req, g.dictionary()).unwrap();
-        let rs = serve.serve_plan(&set, &req, g.dictionary()).unwrap();
+        let rb = served(&serve, &g, &bag_form, &req);
+        let rs = served(&serve, &g, &set, &req);
         assert_eq!(serve.cache_len(), 2, "bag and set forms are distinct keys");
-        assert!(rb.rows().len() > rs.rows().len(), "UNION duplicates survive without DISTINCT");
+        assert!(rb.len() > rs.len(), "UNION duplicates survive without DISTINCT");
     }
 
+    /// `LIMIT` over an order with ties: the canonical run may keep other
+    /// tied rows than `run_plan` does, so the served answer is only a
+    /// sub-bag of the unsliced answer — of the right size, with the
+    /// requester's columns, and the same whether cached or not.
     #[test]
-    fn chaos_plan_requests_pass_through_uncached() {
-        let g = iri_dataset();
-        let serve = serve_engine(&g, 8);
-        let plan = plan_of(&g, "SELECT * WHERE { ?a <urn:p:0> ?b }");
-        let req = ExecRequest::new().fault(FaultSpec::Custom {
-            plan: FaultPlan::none(),
-            policy: RetryPolicy::default(),
-            replicas: 0,
-            graceful: true,
-        });
-        let rec = Recorder::enabled();
-        let _ = serve
-            .serve_plan(&plan, &req.clone().traced(&rec), g.dictionary())
-            .unwrap();
-        assert_eq!(serve.cache_len(), 0, "chaos plan results must never be cached");
-        assert_eq!(rec.counter("serve.cache.miss"), None);
+    fn limit_over_ties_serves_a_sub_bag_of_the_right_size() {
+        let mut b = mpc_rdf::GraphBuilder::new();
+        for i in 1..=3 {
+            b.add_iris("urn:v:h", "urn:p:1", &format!("urn:v:a{i}"));
+            b.add_iris("urn:v:h", "urn:p:2", &format!("urn:v:b{i}"));
+        }
+        let g = b.build();
+        let body = "SELECT * WHERE { ?h <urn:p:2> ?b . ?h <urn:p:1> ?a }";
+        let unsliced = bag(&reference(&g, &plan_of(&g, body)));
+        assert_eq!(unsliced.len(), 9);
+        for modifiers in [" LIMIT 2", " ORDER BY ?h LIMIT 2", " OFFSET 3 LIMIT 4"] {
+            let plan = plan_of(&g, &format!("{body}{modifiers}"));
+            let serve = serve_engine(&g, 8);
+            let cached = served(&serve, &g, &plan, &ExecRequest::new());
+            let again = served(&serve, &g, &plan, &ExecRequest::new());
+            let uncached = served(&serve, &g, &plan, &ExecRequest::new().cached(false));
+            assert_eq!(cached, again, "{modifiers}");
+            assert_eq!(cached, uncached, "{modifiers}");
+            let direct = serve
+                .engine()
+                .run_plan(&plan, &ExecRequest::new(), g.dictionary())
+                .unwrap();
+            assert_eq!(cached.vars, direct.rows().vars, "{modifiers}");
+            assert_eq!(cached.len(), direct.rows().len(), "{modifiers}");
+            let mut left = unsliced.rows.clone();
+            for row in &cached.rows {
+                let at = left.iter().position(|r| r == row);
+                assert!(at.is_some(), "{modifiers}: row {row:?} is not in the answer");
+                left.swap_remove(at.unwrap_or_default());
+            }
+        }
     }
 
     #[test]
@@ -1058,13 +1010,13 @@ mod tests {
         };
         let serve = serve_engine(&g, 8);
         let bare = engine(&g);
+        let rec = Recorder::enabled();
         for round in 0..3 {
+            let req = ExecRequest::new().fault(custom());
             let via_serve = serve
-                .serve(&query, &ExecRequest::new().fault(custom()))
+                .serve_plan(&query, &req.clone().traced(&rec), g.dictionary())
                 .unwrap();
-            let via_bare = bare
-                .run(&query, &ExecRequest::new().fault(custom()))
-                .unwrap();
+            let via_bare = bare.run_plan(&query, &req, g.dictionary()).unwrap();
             assert_eq!(via_serve.rows(), via_bare.rows(), "round {round}");
             assert_eq!(
                 via_serve.stats.faults, via_bare.stats.faults,
@@ -1072,5 +1024,7 @@ mod tests {
             );
         }
         assert_eq!(serve.cache_len(), 0, "chaos results must never be cached");
+        assert_eq!(rec.counter("serve.cache.miss"), None);
+        assert_eq!(rec.counter("serve.plan.miss"), None);
     }
 }

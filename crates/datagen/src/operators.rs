@@ -25,48 +25,14 @@ pub struct NamedPlan {
     pub plan: ResolvedPlan,
 }
 
-/// `prop_vars[v]` for a base query: true when variable `v` occurs in
-/// predicate position.
-fn prop_vars_of(q: &Query, var_count: usize) -> Vec<bool> {
-    let mut prop = vec![false; var_count];
-    for pat in &q.patterns {
-        if let QLabel::Var(v) = pat.p {
-            prop[v as usize] = true;
-        }
+/// `base` (a [`ResolvedPlan::from_bgp`] plan: a `Project` over one
+/// leaf) with `op` applied to the leaf, under the same projection.
+fn around_leaf(base: &ResolvedPlan, op: impl FnOnce(PlanNode) -> PlanNode) -> ResolvedPlan {
+    let mut plan = base.clone();
+    if let PlanNode::Project(leaf, _) = &mut plan.root {
+        **leaf = op(leaf.as_ref().clone());
     }
-    prop
-}
-
-/// The base query as a BGP leaf with an identity local→global map.
-fn leaf(q: &Query) -> PlanNode {
-    PlanNode::Bgp {
-        query: q.clone(),
-        var_map: (0..u32::try_from(q.var_count()).unwrap_or(u32::MAX)).collect(),
-    }
-}
-
-/// The base query with its pattern list reversed — the cosmetic
-/// respelling `serve_replay` uses to exercise canonical-key sharing.
-fn respelled_leaf(q: &Query) -> PlanNode {
-    let mut patterns = q.patterns.clone();
-    patterns.reverse();
-    leaf(&Query::new(patterns, q.var_names.clone()))
-}
-
-fn project_all(node: PlanNode, var_count: usize) -> PlanNode {
-    let vars: Vec<u32> = (0..u32::try_from(var_count).unwrap_or(u32::MAX)).collect();
-    PlanNode::Project(Box::new(node), vars)
-}
-
-fn plan(name: String, root: PlanNode, var_names: Vec<String>, prop_vars: Vec<bool>) -> NamedPlan {
-    NamedPlan {
-        name,
-        plan: ResolvedPlan {
-            root,
-            var_names,
-            prop_vars,
-        },
-    }
+    plan
 }
 
 /// Derives one plan per applicable operator form from each base query.
@@ -82,56 +48,49 @@ fn plan(name: String, root: PlanNode, var_names: Vec<String>, prop_vars: Vec<boo
 pub fn operator_plans(base: &[NamedQuery]) -> Vec<NamedPlan> {
     let mut out = Vec::new();
     for nq in base {
-        let q = &nq.query;
-        let n = q.var_count();
-        if n == 0 {
+        if nq.query.var_count() == 0 {
             continue;
         }
-        let names = q.var_names.clone();
-        let prop = prop_vars_of(q, n);
+        let bgp = ResolvedPlan::from_bgp(nq.query.clone());
 
-        let union = PlanNode::Union(Box::new(leaf(q)), Box::new(respelled_leaf(q)));
-        out.push(plan(
-            format!("union:{}", nq.name),
-            project_all(union.clone(), n),
-            names.clone(),
-            prop.clone(),
-        ));
-        out.push(plan(
-            format!("distinct:{}", nq.name),
-            PlanNode::Distinct(Box::new(project_all(union, n))),
-            names.clone(),
-            prop.clone(),
-        ));
-        let order = PlanNode::OrderBy(Box::new(leaf(q)), vec![(0, true)]);
-        out.push(plan(
-            format!("order:{}", nq.name),
-            PlanNode::Slice(Box::new(project_all(order, n)), 0, Some(10)),
-            names.clone(),
-            prop.clone(),
-        ));
-
-        if let Some(opt) = optional_plan(nq, n, &names, &prop) {
-            out.push(opt);
+        // The respelling reverses the leaf's pattern list — the cosmetic
+        // variant `serve_replay` uses to exercise canonical-key sharing.
+        let union = around_leaf(&bgp, |leaf| {
+            let mut respelled = leaf.clone();
+            if let PlanNode::Bgp { query, .. } = &mut respelled {
+                query.patterns.reverse();
+            }
+            PlanNode::Union(Box::new(leaf), Box::new(respelled))
+        });
+        let distinct = ResolvedPlan {
+            root: PlanNode::Distinct(Box::new(union.root.clone())),
+            ..union.clone()
+        };
+        let mut order = around_leaf(&bgp, |leaf| {
+            PlanNode::OrderBy(Box::new(leaf), vec![(0, true)])
+        });
+        order.root = PlanNode::Slice(Box::new(order.root), 0, Some(10));
+        let mut push = |form: &str, plan: ResolvedPlan| {
+            let name = format!("{form}:{}", nq.name);
+            out.push(NamedPlan { name, plan });
+        };
+        push("union", union);
+        push("distinct", distinct);
+        push("order", order);
+        if let Some(opt) = optional_plan(&bgp) {
+            push("opt", opt);
         }
-        let vertex_vars: Vec<u32> = (0..u32::try_from(n).unwrap_or(u32::MAX))
-            .filter(|&v| !prop[v as usize])
+        let vertex_vars: Vec<u32> = (0..)
+            .zip(&bgp.prop_vars)
+            .filter_map(|(v, &prop)| (!prop).then_some(v))
             .collect();
         if let [x, y, ..] = vertex_vars[..] {
-            let filter = PlanNode::Filter(
-                Box::new(leaf(q)),
-                ResolvedFilter {
-                    lhs: ROperand::Var(x),
-                    op: CompareOp::Ne,
-                    rhs: ROperand::Var(y),
-                },
-            );
-            out.push(plan(
-                format!("filter:{}", nq.name),
-                project_all(filter, n),
-                names.clone(),
-                prop.clone(),
-            ));
+            let filter = ResolvedFilter {
+                lhs: ROperand::Var(x),
+                op: CompareOp::Ne,
+                rhs: ROperand::Var(y),
+            };
+            push("filter", around_leaf(&bgp, |leaf| PlanNode::Filter(Box::new(leaf), filter)));
         }
     }
     out
@@ -139,44 +98,35 @@ pub fn operator_plans(base: &[NamedQuery]) -> Vec<NamedPlan> {
 
 /// `base OPTIONAL { ?s <p> ?opt }` where `?s` is the first pattern's
 /// subject variable and `<p>` its property; `?opt` is a fresh variable
-/// (column `n`), unbound on left rows whose subject has no `<p>` edge
+/// (the last column), unbound on left rows whose subject has no `<p>` edge
 /// beyond the required one — exercising [`mpc_sparql::UNBOUND`] cells.
-fn optional_plan(
-    nq: &NamedQuery,
-    n: usize,
-    names: &[String],
-    prop: &[bool],
-) -> Option<NamedPlan> {
-    let first = nq.query.patterns.first()?;
+fn optional_plan(bgp: &ResolvedPlan) -> Option<ResolvedPlan> {
+    let first = bgp.as_bgp()?.patterns.first()?;
     let (QNode::Var(subject), QLabel::Prop(p)) = (first.s, first.p) else {
         return None;
     };
-    let fresh = u32::try_from(n).ok()?;
+    let fresh = u32::try_from(bgp.var_names.len()).ok()?;
     let arm = Query::new(
         vec![TriplePattern::new(
             QNode::Var(0),
             QLabel::Prop(p),
             QNode::Var(1),
         )],
-        vec![names[subject as usize].clone(), "opt".to_owned()],
+        vec![bgp.var_names[subject as usize].clone(), "opt".to_owned()],
     );
-    let left_join = PlanNode::LeftJoin(
-        Box::new(leaf(&nq.query)),
-        Box::new(PlanNode::Bgp {
+    let mut plan = around_leaf(bgp, |leaf| {
+        let arm = PlanNode::Bgp {
             query: arm,
             var_map: vec![subject, fresh],
-        }),
-    );
-    let mut names: Vec<String> = names.to_vec();
-    names.push("opt".to_owned());
-    let mut prop = prop.to_vec();
-    prop.push(false);
-    Some(plan(
-        format!("opt:{}", nq.name),
-        project_all(left_join, n + 1),
-        names,
-        prop,
-    ))
+        };
+        PlanNode::LeftJoin(Box::new(leaf), Box::new(arm))
+    });
+    if let PlanNode::Project(_, vars) = &mut plan.root {
+        vars.push(fresh);
+    }
+    plan.var_names.push("opt".to_owned());
+    plan.prop_vars.push(false);
+    Some(plan)
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //! Determinism contract: the reply bytes for a query depend only on the
 //! query text and its [`QueryFrame`] knobs — never on which worker ran
 //! it, what else was queued, or how requests interleaved. That follows
-//! from [`ServeEngine::serve`]'s bit-identical guarantee plus the
+//! from [`ServeEngine::serve_plan`]'s guarantee that a cached answer is
+//! byte-identical to an uncached one, plus the
 //! deterministic `finish`/codec pipeline; the `serve_concurrent` bench
 //! and this crate's proptest check it end to end.
 

@@ -824,6 +824,41 @@ pub struct ResolvedPlan {
 }
 
 impl ResolvedPlan {
+    /// A bare BGP as a plan: a [`PlanNode::Project`] of every variable
+    /// over one leaf whose local ids are the global ids — the plan
+    /// [`Algebra::resolve`] produces for `SELECT * { … }`. This is how a
+    /// caller holding a [`Query`] enters the one plan pipeline.
+    ///
+    /// ```
+    /// use mpc_rdf::PropertyId;
+    /// use mpc_sparql::{PlanNode, QLabel, QNode, Query, ResolvedPlan, TriplePattern};
+    ///
+    /// let p = TriplePattern::new(QNode::Var(0), QLabel::Prop(PropertyId(0)), QNode::Var(1));
+    /// let plan = ResolvedPlan::from_bgp(Query::new(vec![p], vec!["s".into(), "o".into()]));
+    /// assert!(matches!(plan.root, PlanNode::Project(..)));
+    /// assert_eq!(plan.out_vars(), [0, 1]);
+    /// assert_eq!(plan.as_bgp().map(|q| q.patterns.len()), Some(1));
+    /// ```
+    pub fn from_bgp(query: Query) -> ResolvedPlan {
+        let all: Vec<u32> = (0..narrow::u32_from(query.var_count())).collect();
+        let mut prop_vars = vec![false; all.len()];
+        for pat in &query.patterns {
+            if let QLabel::Var(v) = pat.p {
+                prop_vars[v as usize] = true;
+            }
+        }
+        let var_names = query.var_names.clone();
+        let leaf = PlanNode::Bgp {
+            query,
+            var_map: all.clone(),
+        };
+        ResolvedPlan {
+            root: PlanNode::Project(Box::new(leaf), all),
+            var_names,
+            prop_vars,
+        }
+    }
+
     /// The plan's output columns (global variable ids, in order).
     pub fn out_vars(&self) -> Vec<u32> {
         self.root.out_vars()

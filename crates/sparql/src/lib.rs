@@ -30,9 +30,7 @@ pub use algebra::{
     bag_project, bag_union, compat_join, dedup_preserving_order, hash_join, join_all, left_join,
     sort_rows, Algebra, Bindings, PlanNode, ROperand, ResolvedFilter, ResolvedPlan, UNBOUND,
 };
-pub use canon::{
-    canonical_key, canonicalize, canonicalize_plan, CanonicalKey, CanonicalPlan, CanonicalQuery,
-};
+pub use canon::{canonicalize_plan, CanonicalPlan};
 pub use eval::{eval_plan, eval_plan_local, BgpSource};
 pub use explain::{access_path_name, explain, render as render_plan, PlanStep};
 pub use matcher::{
