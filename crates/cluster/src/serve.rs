@@ -618,33 +618,42 @@ mod tests {
         )
     }
 
+    /// Serves `plan` twice cached and once uncached: the hit must be
+    /// byte-identical to both, bag-equal to the centralized answer, and
+    /// counted once in the result cache and twice in the memo.
+    fn assert_hits_bit_identical(g: &RdfGraph, plan: &ResolvedPlan) {
+        let serve = serve_engine(g, 8);
+        let rec = Recorder::enabled();
+        let req = ExecRequest::new().traced(&rec);
+        let first = serve.serve_plan(plan, &req, g.dictionary()).unwrap();
+        let second = serve.serve_plan(plan, &req, g.dictionary()).unwrap();
+        let uncached = serve
+            .serve_plan(plan, &req.clone().cached(false), g.dictionary())
+            .unwrap();
+        assert_eq!(first.rows(), second.rows());
+        assert_eq!(first.rows(), uncached.rows());
+        assert_eq!(first.stats.result_rows, second.stats.result_rows);
+        assert_eq!(bag(first.rows()), bag(&reference(g, plan)));
+        assert_eq!(rec.counter("serve.cache.miss"), Some(1));
+        assert_eq!(rec.counter("serve.cache.hit"), Some(1));
+        assert_eq!(rec.counter("serve.plan.miss"), Some(1));
+        assert_eq!(rec.counter("serve.plan.hit"), Some(2));
+        assert_eq!(serve.cache_len(), 1);
+    }
+
     #[test]
     fn hits_are_bit_identical_to_uncached_and_counted() {
-        let bgp = dataset();
-        let iri = iri_dataset();
+        assert_hits_bit_identical(&dataset(), &path_query());
+    }
+
+    #[test]
+    fn plan_hits_are_bit_identical_to_uncached_and_counted() {
+        let g = iri_dataset();
         let optional = plan_of(
-            &iri,
+            &g,
             "SELECT * WHERE { ?a <urn:p:0> ?b OPTIONAL { ?b <urn:p:2> ?c } } ORDER BY ?b",
         );
-        for (g, plan) in [(&bgp, path_query()), (&iri, optional)] {
-            let serve = serve_engine(g, 8);
-            let rec = Recorder::enabled();
-            let req = ExecRequest::new().traced(&rec);
-            let first = serve.serve_plan(&plan, &req, g.dictionary()).unwrap();
-            let second = serve.serve_plan(&plan, &req, g.dictionary()).unwrap();
-            let uncached = serve
-                .serve_plan(&plan, &req.clone().cached(false), g.dictionary())
-                .unwrap();
-            assert_eq!(first.rows(), second.rows());
-            assert_eq!(first.rows(), uncached.rows());
-            assert_eq!(first.stats.result_rows, second.stats.result_rows);
-            assert_eq!(bag(first.rows()), bag(&reference(g, &plan)));
-            assert_eq!(rec.counter("serve.cache.miss"), Some(1));
-            assert_eq!(rec.counter("serve.cache.hit"), Some(1));
-            assert_eq!(rec.counter("serve.plan.miss"), Some(1));
-            assert_eq!(rec.counter("serve.plan.hit"), Some(2));
-            assert_eq!(serve.cache_len(), 1);
-        }
+        assert_hits_bit_identical(&g, &optional);
     }
 
     #[test]
@@ -664,8 +673,10 @@ mod tests {
         let c = served(&serve, &g, &renumbered, &req);
         assert_eq!(serve.cache_len(), 2);
         assert_eq!(bag(&c), bag(&reference(&g, &renumbered)));
+    }
 
-        // Renamed spellings of an operator plan share the memo entry too.
+    #[test]
+    fn renamed_plan_spellings_share_one_entry_and_columns() {
         let g = iri_dataset();
         let serve = serve_engine(&g, 8);
         let a = plan_of(
@@ -988,6 +999,25 @@ mod tests {
                 left.swap_remove(at.unwrap_or_default());
             }
         }
+    }
+
+    #[test]
+    fn chaos_plan_requests_pass_through_uncached() {
+        let g = iri_dataset();
+        let serve = serve_engine(&g, 8);
+        let plan = plan_of(&g, "SELECT * WHERE { ?a <urn:p:0> ?b }");
+        let req = ExecRequest::new().fault(FaultSpec::Custom {
+            plan: FaultPlan::none(),
+            policy: RetryPolicy::default(),
+            replicas: 0,
+            graceful: true,
+        });
+        let rec = Recorder::enabled();
+        let _ = serve
+            .serve_plan(&plan, &req.traced(&rec), g.dictionary())
+            .unwrap();
+        assert_eq!(serve.cache_len(), 0, "chaos plan results must never be cached");
+        assert_eq!(rec.counter("serve.cache.miss"), None);
     }
 
     #[test]
