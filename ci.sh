@@ -43,17 +43,23 @@ MPC_THREADS=4 "$MPC" partition --input "$CI_TMP/lubm.nt" --out "$CI_TMP/t4.parts
     --method mpc --k 4
 cmp "$CI_TMP/t1.parts" "$CI_TMP/t4.parts"
 echo 'SELECT ?x ?y WHERE { ?x <urn:p:8> ?y } LIMIT 50' > "$CI_TMP/qpar.rq"
+# The LQ2 cycle (memberOf, subOrganizationOf, undergraduateDegreeFrom)
+# with no constants: its closing edges run as the matcher's intersection.
+echo 'SELECT * WHERE { ?x <urn:p:6> ?z . ?z <urn:p:1> ?y . ?x <urn:p:2> ?y }' \
+    > "$CI_TMP/qcycle.rq"
 par_query() {
     "$MPC" query --input "$CI_TMP/lubm.nt" --partitions "$CI_TMP/lubm.parts" \
-        --query "$CI_TMP/qpar.rq" --threads "$1"
+        --query "$CI_TMP/$1.rq" --threads "$2"
 }
-par_query 1 > "$CI_TMP/par.1"
-par_query 4 > "$CI_TMP/par.4"
-# The trailing stats line carries wall-clock timings; everything above it
-# (the bindings) must match byte for byte.
-grep -v 'QDT=' "$CI_TMP/par.1" > "$CI_TMP/par.1.rows"
-grep -v 'QDT=' "$CI_TMP/par.4" > "$CI_TMP/par.4.rows"
-cmp "$CI_TMP/par.1.rows" "$CI_TMP/par.4.rows"
+for q in qpar qcycle; do
+    par_query "$q" 1 > "$CI_TMP/$q.1"
+    par_query "$q" 4 > "$CI_TMP/$q.4"
+    # The trailing stats line carries wall-clock timings; everything above
+    # it (the bindings) must match byte for byte.
+    grep -v 'QDT=' "$CI_TMP/$q.1" > "$CI_TMP/$q.1.rows"
+    grep -v 'QDT=' "$CI_TMP/$q.4" > "$CI_TMP/$q.4.rows"
+    cmp "$CI_TMP/$q.1.rows" "$CI_TMP/$q.4.rows"
+done
 
 echo "==> chaos smoke (deterministic fault-injection report, docs/FAULT_TOLERANCE.md)"
 echo 'SELECT ?x ?y WHERE { ?x <urn:p:8> ?y } LIMIT 5' > "$CI_TMP/q.rq"

@@ -17,7 +17,9 @@ use mpc_datagen::realistic::{generate as gen_real, RealisticConfig};
 use mpc_datagen::{QuerySampler, Shape};
 use mpc_dsu::DisjointSetForest;
 use mpc_metis::{partition, MetisConfig, WeightedGraph};
-use mpc_sparql::{evaluate, evaluate_observed, LocalStore, MatchStats};
+use mpc_sparql::{
+    evaluate, evaluate_observed, evaluate_with, static_order, LocalStore, MatchStats,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -130,11 +132,34 @@ fn bench_matcher(c: &mut Criterion) {
         ..Default::default()
     });
     let store = LocalStore::from_graph(&d.graph);
+    // The same graph with an overlay: one triple in 16 held out of the
+    // base and staged as novelty, another one in 16 tombstoned.
+    let triples = d.graph.triples();
+    let mut dirty = LocalStore::new(
+        triples.iter().enumerate().filter(|(i, _)| i % 16 != 0).map(|(_, &t)| t).collect(),
+    );
+    for (i, &t) in triples.iter().enumerate() {
+        match i % 16 {
+            0 => dirty.insert(t),
+            8 => dirty.delete(t),
+            _ => false,
+        };
+    }
     for nq in d.benchmark_queries() {
         if ["LQ1", "LQ2", "LQ4", "LQ9"].contains(&nq.name.as_str()) {
             group.bench_function(&nq.name, |b| {
                 b.iter(|| black_box(evaluate(&nq.query, &store)))
             });
+        }
+        // The static order the sites run, from each store's statistics.
+        if ["LQ2", "LQ9"].contains(&nq.name.as_str()) {
+            let q = &nq.query;
+            for (label, store) in [("clean", &store), ("dirty", &dirty)] {
+                let order = static_order(&q.patterns, q.var_count(), store.stats(), None);
+                group.bench_function(format!("{}_static_{label}", nq.name), |b| {
+                    b.iter(|| black_box(evaluate_with(q, store, Some(&order), None, &mut ())))
+                });
+            }
         }
     }
     group.finish();

@@ -5,10 +5,7 @@ use crate::fault::{FaultKind, SiteError};
 use crate::wire;
 use mpc_core::Fragment;
 use mpc_rdf::{FxHashSet, PartitionId, VertexId};
-use mpc_sparql::{
-    evaluate_observed, evaluate_ordered_observed, evaluate_seeded_observed, Bindings, LocalStore,
-    MatchObserver, Query, ResolvedFilter,
-};
+use mpc_sparql::{evaluate_with, Bindings, LocalStore, MatchObserver, Query, ResolvedFilter};
 use std::time::{Duration, Instant};
 
 /// One cluster site hosting a partition fragment.
@@ -167,17 +164,7 @@ impl Site {
         order: Option<&Vec<usize>>,
         obs: &mut impl MatchObserver,
     ) -> Bindings {
-        let store = &self.store;
-        let mut table = match (order, req.seed) {
-            (Some(order), Some((var, keys))) => {
-                evaluate_seeded_observed(query, store, order, var, keys, obs)
-            }
-            (Some(order), None) => evaluate_ordered_observed(query, store, order, obs),
-            (None, seed) => {
-                debug_assert!(seed.is_none(), "a seeded search needs a static order");
-                evaluate_observed(query, store, obs)
-            }
-        };
+        let mut table = evaluate_with(query, &self.store, order.map(Vec::as_slice), req.seed, obs);
         if !req.filters.is_empty() {
             let Bindings { vars, rows } = &mut table;
             rows.retain(|row| req.filters.iter().all(|f| f.accepts_ids(row, vars)));

@@ -24,7 +24,7 @@ use crate::algebra::{
     bag_project, bag_union, compat_join, dedup_preserving_order, left_join, sort_rows, Bindings,
     PlanNode, ResolvedFilter, ResolvedPlan, UNBOUND,
 };
-use crate::matcher::evaluate_ordered;
+use crate::matcher::evaluate_with;
 use crate::planner::static_order;
 use crate::query::Query;
 use crate::store::LocalStore;
@@ -244,7 +244,7 @@ impl BgpSource for LocalSource<'_> {
 
     fn eval_bgp(&mut self, query: &Query) -> Result<Bindings, Self::Error> {
         let order = static_order(&query.patterns, query.var_count(), self.store.stats(), None);
-        Ok(evaluate_ordered(query, self.store, &order))
+        Ok(evaluate_with(query, self.store, Some(&order), None, &mut ()))
     }
 }
 
@@ -484,8 +484,12 @@ mod tests {
                 self.store.stats(),
                 Some(var),
             );
-            Some(Ok(crate::matcher::evaluate_seeded(
-                query, self.store, &order, var, keys,
+            Some(Ok(evaluate_with(
+                query,
+                self.store,
+                Some(&order),
+                Some((var, keys)),
+                &mut (),
             )))
         }
     }

@@ -33,10 +33,7 @@ pub use algebra::{
 pub use canon::{canonicalize_plan, CanonicalPlan};
 pub use eval::{eval_plan, eval_plan_local, BgpSource};
 pub use explain::{access_path_name, explain, render as render_plan, PlanStep};
-pub use matcher::{
-    evaluate, evaluate_observed, evaluate_ordered, evaluate_ordered_observed, evaluate_seeded,
-    evaluate_seeded_observed, MatchObserver, MatchStats,
-};
+pub use matcher::{evaluate, evaluate_observed, evaluate_with, MatchObserver, MatchStats};
 pub use parser::{
     is_update, numeric_value, parse, parse_update, CompareOp, Filter, FilterOperand,
     GroundTriple, QueryParseError, UpdateData,

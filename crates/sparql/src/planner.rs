@@ -5,7 +5,7 @@
 //! thousands of times, so the serving layer plans once instead:
 //! [`static_order`] greedily orders the patterns by estimated
 //! cardinality under the per-property statistics a [`crate::StoreStats`]
-//! aggregate provides, and [`crate::matcher::evaluate_ordered`] follows
+//! aggregate provides, and [`crate::matcher::evaluate_with`] follows
 //! that fixed order. Results are sorted and deduplicated either way, so
 //! the order changes work, never answers.
 
@@ -48,7 +48,7 @@ pub fn estimate(pat: &TriplePattern, stats: &StoreStats, bound: &[bool]) -> u64 
 ///
 /// `nvars` is the query's variable count (bounds the bound-set bitmap).
 /// `seed` is a variable the search starts with already bound (a seeded
-/// leaf, [`crate::matcher::evaluate_seeded`]): the order then begins at a
+/// leaf, [`crate::matcher::evaluate_with`]): the order then begins at a
 /// pattern touching it.
 pub fn static_order(
     patterns: &[TriplePattern],
@@ -63,13 +63,7 @@ pub fn static_order(
     let mut remaining: Vec<usize> = (0..patterns.len()).collect();
     let mut order = Vec::with_capacity(patterns.len());
     while !remaining.is_empty() {
-        let touches_bound = |i: usize| {
-            let pat = &patterns[i];
-            [pat.s.as_var(), pat.o.as_var(), pat.p.as_var()]
-                .into_iter()
-                .flatten()
-                .any(|v| bound[v as usize])
-        };
+        let touches_bound = |i: usize| patterns[i].vars().any(|v| bound[v as usize]);
         // Nothing is bound before the first pattern of an unseeded order.
         let connected_only = remaining.iter().any(|&i| touches_bound(i));
         let mut best: Option<(u64, usize, usize)> = None; // (est, pattern idx, remaining pos)
@@ -86,11 +80,7 @@ pub fn static_order(
         let (_, idx, pos) = best.expect("non-empty remaining");
         remaining.swap_remove(pos);
         order.push(idx);
-        let pat = &patterns[idx];
-        for v in [pat.s.as_var(), pat.o.as_var(), pat.p.as_var()]
-            .into_iter()
-            .flatten()
-        {
+        for v in patterns[idx].vars() {
             bound[v as usize] = true;
         }
     }

@@ -69,6 +69,14 @@ impl TriplePattern {
     pub fn new(s: QNode, p: QLabel, o: QNode) -> Self {
         TriplePattern { s, p, o }
     }
+
+    /// The variables in its subject, property and object positions, in
+    /// that order (a variable repeated in the pattern repeats here).
+    pub fn vars(&self) -> impl Iterator<Item = u32> {
+        [self.s.as_var(), self.p.as_var(), self.o.as_var()]
+            .into_iter()
+            .flatten()
+    }
 }
 
 /// A BGP query: a multiset of triple patterns over a shared variable space.

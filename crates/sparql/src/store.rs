@@ -197,6 +197,64 @@ fn sorted_remove<K: Ord>(v: &mut Vec<Triple>, t: Triple, key: impl Fn(&Triple) -
     }
 }
 
+/// A forward cursor over the triples that match a pattern with exactly
+/// one free position, yielding that position's values in ascending
+/// order — one side of the matcher's leapfrog intersection
+/// (docs/QUERY.md).
+///
+/// With every other position bound, the matching triples are one
+/// contiguous slice of the run whose sort order ends in the free position
+/// (POS for a free subject, SPO for a free object, OSP for a free
+/// property), so they are sorted by its value and each value occurs at
+/// most once. The cursor walks the base slice minus tombstones and the
+/// novelty slice side by side; the two are disjoint, so the merged values
+/// stay strictly ascending, exactly those of [`LocalStore::scan`].
+pub(crate) struct KeyCursor<'a> {
+    /// The unvisited rest of the base slice.
+    base: &'a [Triple],
+    /// The unvisited rest of the novelty slice.
+    novelty: &'a [Triple],
+    tombstones: &'a [Triple],
+    free: Free,
+}
+
+/// The free position of a [`KeyCursor`]'s pattern.
+enum Free {
+    S,
+    P,
+    O,
+}
+
+impl KeyCursor<'_> {
+    /// Skips every value below `target` and returns the least value at or
+    /// above it, or `None` once none is left. The cursor never moves
+    /// back, so a `target` below the last answer returns that answer again.
+    pub(crate) fn seek(&mut self, target: u32) -> Option<u32> {
+        // One copy of the loop per position, so the key read inlines.
+        match self.free {
+            Free::S => self.seek_by(target, |t| t.s.0),
+            Free::P => self.seek_by(target, |t| t.p.0),
+            Free::O => self.seek_by(target, |t| t.o.0),
+        }
+    }
+
+    #[inline]
+    fn seek_by(&mut self, target: u32, key: impl Fn(&Triple) -> u32) -> Option<u32> {
+        self.base = &self.base[gallop(self.base, |t| key(t) < target)..];
+        while let Some(t) = self.base.first() {
+            if self.tombstones.is_empty() || self.tombstones.binary_search(t).is_err() {
+                break;
+            }
+            self.base = &self.base[1..];
+        }
+        self.novelty = &self.novelty[gallop(self.novelty, |t| key(t) < target)..];
+        match (self.base.first(), self.novelty.first()) {
+            (Some(b), Some(n)) => Some(key(b).min(key(n))),
+            (b, n) => b.or(n).map(key),
+        }
+    }
+}
+
 /// A sorted-run triple store with a novelty overlay.
 ///
 /// Duplicate triples are removed at construction: SPARQL BGP matching has
@@ -401,6 +459,26 @@ impl LocalStore {
         base.chain(self.overlay.novelty.select(pat).iter().copied())
     }
 
+    /// A [`KeyCursor`] over the triples matching `pat`, through the same
+    /// base and novelty ranges as [`LocalStore::scan`].
+    ///
+    /// # Panics
+    /// Panics unless exactly one of `pat`'s positions is free.
+    pub(crate) fn cursor(&self, pat: &Pattern) -> KeyCursor<'_> {
+        let free = match (pat.s, pat.p, pat.o) {
+            (None, Some(_), Some(_)) => Free::S,
+            (Some(_), None, Some(_)) => Free::P,
+            (Some(_), Some(_), None) => Free::O,
+            _ => panic!("a cursor needs exactly one free position, got {pat:?}"),
+        };
+        KeyCursor {
+            base: self.base.select(pat),
+            novelty: self.overlay.novelty.select(pat),
+            tombstones: &self.overlay.tombstones,
+            free,
+        }
+    }
+
     /// True if the store currently holds `t` (overlay included).
     pub fn contains(&self, t: Triple) -> bool {
         if self.overlay.novelty.spo.binary_search(&t).is_ok() {
@@ -524,16 +602,23 @@ where
     use std::cmp::Ordering::{Equal, Less};
     let lo = run.partition_point(|t| cmp(t) == Less);
     let tail = &run[lo..];
-    // Double `step` until `tail[step - 1]` is past the range (or the run
-    // ends); the range then ends within `tail[step / 2..step]`.
+    &tail[..gallop(tail, |t| cmp(t) == Equal)]
+}
+
+/// The length of the prefix of `run` on which `pred` holds, assuming it
+/// holds on a prefix: doubling steps from the start, then a binary search
+/// of the last doubling. The cost grows with the log of the answer, not
+/// of the run, so short hops along a long run stay cheap.
+fn gallop(run: &[Triple], pred: impl Fn(&Triple) -> bool) -> usize {
+    // Double `step` until `run[step - 1]` fails `pred` (or the run ends);
+    // the prefix then ends within `run[step / 2..step]`.
     let mut step = 1;
-    while step < tail.len() && cmp(&tail[step - 1]) == Equal {
+    while step < run.len() && pred(&run[step - 1]) {
         step *= 2;
     }
     let from = step / 2;
-    let to = step.min(tail.len());
-    let len = from + tail[from..to].partition_point(|t| cmp(t) == Equal);
-    &tail[..len]
+    let to = step.min(run.len());
+    from + run[from..to].partition_point(pred)
 }
 
 #[cfg(test)]
@@ -884,6 +969,47 @@ pub(crate) mod proptests {
                 prop_assert_eq!(card.triples, of_p.len() as u64);
                 prop_assert_eq!(card.distinct_subjects, distinct(|x| x.s.0));
                 prop_assert_eq!(card.distinct_objects, distinct(|x| x.o.0));
+            }
+        }
+
+        /// Over any base and mutation stream, a cursor on a pattern with
+        /// one free position visits exactly the free values `scan`
+        /// returns, ascending, whether walked value by value or by
+        /// ascending seeks to arbitrary targets.
+        #[test]
+        fn cursor_walks_the_scan_in_key_order(
+            base in triples_strategy(),
+            ops in ops_strategy(),
+            (s, p, o, free) in (0u32..8, 0u32..4, 0u32..8, 0usize..3),
+            mut targets in proptest::collection::vec(0u32..10, 0..6),
+        ) {
+            let mut store = LocalStore::new(base);
+            for (ins, t) in ops {
+                if ins { store.insert(t); } else { store.delete(t); }
+            }
+            let pat = Pattern {
+                s: (free != 0).then_some(VertexId(s)),
+                p: (free != 1).then_some(PropertyId(p)),
+                o: (free != 2).then_some(VertexId(o)),
+            };
+            let key = |t: Triple| [t.s.0, t.p.0, t.o.0][free];
+            let mut want: Vec<u32> = store.scan(&pat).map(key).collect();
+            want.sort_unstable();
+
+            let mut walked = Vec::new();
+            let mut cursor = store.cursor(&pat);
+            let mut target = 0;
+            while let Some(v) = cursor.seek(target) {
+                walked.push(v);
+                target = v + 1;
+            }
+            prop_assert_eq!(&walked, &want);
+
+            targets.sort_unstable();
+            let mut cursor = store.cursor(&pat);
+            for target in targets {
+                let least = want.iter().copied().find(|&v| v >= target);
+                prop_assert_eq!(cursor.seek(target), least);
             }
         }
 
