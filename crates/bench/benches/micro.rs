@@ -9,14 +9,19 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpc_cluster::{
     bloom_reduce, classify, decompose_crossing_aware, partial_evaluate, CrossingSet, Site,
 };
-use mpc_core::select::{forward_greedy, reverse_greedy, SelectConfig, SelectStrategy};
+use mpc_core::coarsen::coarsen;
+use mpc_core::select::{
+    forward_greedy, reverse_greedy, select_internal_properties, SelectConfig, SelectStrategy,
+};
 use mpc_core::weighted::{weighted_greedy, PropertyWeights};
 use mpc_core::{MpcConfig, MpcPartitioner, Partitioner};
 use mpc_datagen::lubm::{self, LubmConfig};
 use mpc_datagen::realistic::{generate as gen_real, RealisticConfig};
+use mpc_datagen::watdiv::{self, WatdivConfig};
 use mpc_datagen::{QuerySampler, Shape};
 use mpc_dsu::DisjointSetForest;
-use mpc_metis::{partition, MetisConfig, WeightedGraph};
+use mpc_metis::bisect::bisect;
+use mpc_metis::{fm_refine, partition, MetisConfig, WeightedGraph};
 use mpc_sparql::{
     evaluate, evaluate_observed, evaluate_with, static_order, LocalStore, MatchStats,
 };
@@ -122,6 +127,39 @@ fn bench_metis(c: &mut Criterion) {
             b.iter(|| black_box(partition(g, 8, &MetisConfig::default())))
         });
     }
+    group.finish();
+}
+
+/// MPC's supervertex graph `G_c` of a WatDiv graph (6,000 users, seed 1:
+/// ≈131 k triples, 4,260 supervertices) and a greedy-grown bisection of it,
+/// the nearly dense input FM refinement faces inside MPC.
+fn watdiv_supervertex_bisection() -> (WeightedGraph, Vec<u8>, [u64; 2]) {
+    let g = watdiv::generate(&WatdivConfig {
+        scale: 6_000,
+        seed: 1,
+    })
+    .graph;
+    let mut selection = select_internal_properties(&g, &SelectConfig::new().with_k(8));
+    let gc = coarsen(&g, &mut selection).graph;
+    let half = gc.total_weight() / 2;
+    let side = bisect(&gc, half, 4, &mut StdRng::seed_from_u64(1));
+    let cap = half + half / 10;
+    (gc, side, [cap, cap])
+}
+
+fn bench_fm_refine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("metis/fm_refine");
+    let (gc, side, max_side) = watdiv_supervertex_bisection();
+    group.bench_with_input(
+        BenchmarkId::new("watdiv_supervertex", gc.vertex_count()),
+        &gc,
+        |b, gc| {
+            b.iter(|| {
+                let mut s = side.clone();
+                black_box(fm_refine(gc, &mut s, max_side, 4))
+            })
+        },
+    );
     group.finish();
 }
 
@@ -297,6 +335,7 @@ criterion_group! {
     targets = bench_dsu,
         bench_selection,
         bench_metis,
+        bench_fm_refine,
         bench_matcher,
         bench_obs_overhead,
         bench_planning,

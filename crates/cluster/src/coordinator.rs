@@ -748,9 +748,9 @@ impl DistributedEngine {
             }
             let join_span = rec.span("query.join");
             let t_join = Instant::now();
-            // Join smaller tables first, then normalize the column order to
-            // the full variable space, the layout of independent execution.
-            tables.sort_by_key(Bindings::len);
+            // `join_all` picks a connected, smallest-first order; normalize
+            // the column order to the full variable space, the layout of
+            // independent execution.
             let rows = join_all(&tables).project(&all_vars());
             let join_time = t_join.elapsed();
             drop(join_span);

@@ -147,7 +147,6 @@ impl VpEngine {
 
         let t2 = Instant::now();
         let subqueries = tables.len();
-        tables.sort_by_key(Bindings::len);
         let joined = join_all(&tables);
         let all_vars: Vec<u32> = (0..narrow::u32_from(query.var_count())).collect();
         let result = joined.project(&all_vars);

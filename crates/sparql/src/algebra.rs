@@ -200,6 +200,14 @@ fn sorted(v: &[u32]) -> Vec<u32> {
 /// variables followed by `b`'s non-shared variables. If no variables are
 /// shared this degenerates to a cross product.
 pub fn hash_join(a: &Bindings, b: &Bindings) -> Bindings {
+    let mut out_vars = a.vars.clone();
+    out_vars.extend(b.vars.iter().filter(|v| !a.vars.contains(v)));
+    hash_join_as(a, b, out_vars)
+}
+
+/// [`hash_join`] with the output columns in the order `out_vars`, which
+/// must list every variable of `a` and `b` exactly once.
+fn hash_join_as(a: &Bindings, b: &Bindings, out_vars: Vec<u32>) -> Bindings {
     // Shared variables and their column positions in both tables.
     let shared: Vec<(usize, usize)> = a
         .vars
@@ -207,11 +215,16 @@ pub fn hash_join(a: &Bindings, b: &Bindings) -> Bindings {
         .enumerate()
         .filter_map(|(ia, v)| b.column_of(*v).map(|ib| (ia, ib)))
         .collect();
-    let b_only: Vec<usize> = (0..b.vars.len())
-        .filter(|&ib| !a.vars.contains(&b.vars[ib]))
+    // Where each output column comes from: `a`'s column, else `b`'s.
+    let source: Vec<(bool, usize)> = out_vars
+        .iter()
+        .map(|&v| match a.column_of(v) {
+            Some(ia) => (true, ia),
+            // mpc-allow: unwrap-expect callers pass the union of both tables' variables
+            None => (false, b.column_of(v).expect("output variable of a or b")),
+        })
         .collect();
-    let mut out_vars = a.vars.clone();
-    out_vars.extend(b_only.iter().map(|&ib| b.vars[ib]));
+    debug_assert_eq!(out_vars.len(), a.vars.len() + b.vars.len() - shared.len());
     let mut out = Bindings::new(out_vars);
 
     // Build on the smaller side for memory; probing is symmetric.
@@ -244,9 +257,12 @@ pub fn hash_join(a: &Bindings, b: &Bindings) -> Bindings {
                 } else {
                     (probe_row, build_row)
                 };
-                let mut row: Vec<u32> = a_row.clone();
-                row.extend(b_only.iter().map(|&ib| b_row[ib]));
-                out.rows.push(row);
+                out.rows.push(
+                    source
+                        .iter()
+                        .map(|&(from_a, c)| if from_a { a_row[c] } else { b_row[c] })
+                        .collect(),
+                );
             }
         }
     }
@@ -254,38 +270,50 @@ pub fn hash_join(a: &Bindings, b: &Bindings) -> Bindings {
     out
 }
 
-/// Joins many tables left to right, starting from the smallest pair first
-/// would be better planning; the caller controls the order. An empty input
-/// list yields the unit table.
+/// Natural join of many tables, in an order that never builds a product of
+/// unrelated tables when a connected order exists: it starts from the
+/// smallest table, then repeatedly joins the smallest remaining table that
+/// shares a variable with what is already joined, and falls back to the
+/// smallest remaining table overall only when none does (ties go to the
+/// earlier table). The result does not depend on that order: its columns
+/// are the tables' variables in order of first appearance, its rows sorted
+/// and deduplicated — the table a left-to-right fold of [`hash_join`]
+/// yields. An empty input list yields the unit table.
 pub fn join_all(tables: &[Bindings]) -> Bindings {
-    match tables {
-        [] => Bindings::unit(),
-        [one] => {
-            let mut b = one.clone();
-            b.sort_dedup();
-            b
-        }
-        [first, rest @ ..] => {
-            let mut acc = first.clone();
-            for (i, t) in rest.iter().enumerate() {
-                acc = hash_join(&acc, t);
-                if acc.is_empty() {
-                    // Short-circuit, but keep the full output schema: the
-                    // remaining tables' columns still belong to the result.
-                    let mut vars = acc.vars;
-                    for later in &rest[i + 1..] {
-                        for &v in &later.vars {
-                            if !vars.contains(&v) {
-                                vars.push(v);
-                            }
-                        }
-                    }
-                    return Bindings::new(vars);
-                }
-            }
-            acc
+    join_all_observed(tables, |_| {})
+}
+
+/// [`join_all`], handing each intermediate join result to `on_join`.
+fn join_all_observed(tables: &[Bindings], mut on_join: impl FnMut(&Bindings)) -> Bindings {
+    let mut schema: Vec<u32> = Vec::new();
+    for v in tables.iter().flat_map(|t| &t.vars) {
+        if !schema.contains(v) {
+            schema.push(*v);
         }
     }
+    let mut remaining: Vec<usize> = (0..tables.len()).collect();
+    // Start from the join identity; the first pick shares no variable with
+    // it, so it is simply the smallest table.
+    let mut acc = Bindings::unit();
+    while let Some((slot, _)) = remaining.iter().enumerate().min_by_key(|&(_, &t)| {
+        let shares = tables[t].vars.iter().any(|v| acc.vars.contains(v));
+        (!shares, tables[t].len())
+    }) {
+        let next = &tables[remaining.remove(slot)];
+        // The last join writes its rows straight into the output schema.
+        acc = if remaining.is_empty() {
+            hash_join_as(&acc, next, std::mem::take(&mut schema))
+        } else {
+            hash_join(&acc, next)
+        };
+        on_join(&acc);
+        if acc.is_empty() && !remaining.is_empty() {
+            // Short-circuit, but keep the full output schema: the remaining
+            // tables' columns still belong to the result.
+            return Bindings::new(schema);
+        }
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -1415,6 +1443,73 @@ mod tests {
         assert_eq!(j.rows, vec![vec![1, 10, 5, 9]]);
     }
 
+    /// The left-to-right fold of [`hash_join`] `join_all` must reproduce.
+    fn fold_left(tables: &[Bindings]) -> Bindings {
+        tables
+            .iter()
+            .fold(Bindings::unit(), |acc, t| hash_join(&acc, t))
+    }
+
+    /// A three-subquery path `?a-?b-?c-?d` whose two smallest tables,
+    /// `ab` and `cd`, share no variable: joining them first would build
+    /// their 400-row product.
+    fn disjoint_smallest_path() -> [Bindings; 3] {
+        let mut ab = Bindings::new(vec![0, 1]);
+        let mut bc = Bindings::new(vec![1, 2]);
+        let mut cd = Bindings::new(vec![2, 3]);
+        for i in 0..20 {
+            ab.push(vec![i, i]);
+            cd.push(vec![i + 100, i + 200]);
+        }
+        for i in 0..40 {
+            bc.push(vec![i, i + 100]);
+        }
+        [ab, bc, cd]
+    }
+
+    #[test]
+    fn join_all_never_joins_disjoint_tables_when_a_connected_one_remains() {
+        let [ab, bc, cd] = disjoint_smallest_path();
+        // Size order (ab, cd, bc) would make the second intermediate the
+        // 400-row product of ab and cd.
+        for tables in [
+            [ab.clone(), cd.clone(), bc.clone()],
+            [ab.clone(), bc.clone(), cd.clone()],
+            [cd.clone(), ab.clone(), bc.clone()],
+        ] {
+            let mut sizes = Vec::new();
+            let joined = join_all_observed(&tables, |t| sizes.push(t.len()));
+            assert_eq!(sizes, vec![20, 20, 20], "intermediate row counts");
+            assert_eq!(joined, fold_left(&tables));
+            assert_eq!(joined.len(), 20);
+        }
+    }
+
+    #[test]
+    fn join_all_falls_back_to_the_smallest_unrelated_table() {
+        let x = b(&[0], &[&[1], &[2], &[3]]);
+        let y = b(&[1], &[&[7], &[8]]);
+        let z = b(&[0, 2], &[&[1, 5], &[3, 6], &[4, 6], &[9, 9]]);
+        let tables = [x, y, z];
+        let mut sizes = Vec::new();
+        let joined = join_all_observed(&tables, |t| sizes.push(t.len()));
+        // y (2 rows) first; nothing shares ?1, so x (3) is the smallest
+        // overall; then z joins on ?0.
+        assert_eq!(sizes, vec![2, 6, 4]);
+        assert_eq!(joined.vars, vec![0, 1, 2]);
+        assert_eq!(joined, fold_left(&tables));
+    }
+
+    #[test]
+    fn join_all_empty_intermediate_keeps_the_full_schema() {
+        let x = b(&[3, 1], &[&[1, 2]]);
+        let y = b(&[1, 0], &[&[9, 9]]);
+        let z = b(&[0, 2], &[&[1, 5], &[3, 6]]);
+        let joined = join_all(&[x, y, z]);
+        assert!(joined.is_empty());
+        assert_eq!(joined.vars, vec![3, 1, 0, 2]);
+    }
+
     #[test]
     fn unit_is_join_identity() {
         let x = b(&[0], &[&[3], &[4]]);
@@ -1445,6 +1540,35 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    fn table_strategy() -> impl Strategy<Value = Bindings> {
+        (
+            proptest::collection::vec(0u32..5, 0..3),
+            proptest::collection::vec(proptest::collection::vec(0u32..4, 2), 0..12),
+        )
+            .prop_map(|(mut vars, rows)| {
+                vars.sort_unstable();
+                vars.dedup();
+                let mut t = Bindings::new(vars);
+                for row in rows {
+                    t.push(row[..t.vars.len()].to_vec());
+                }
+                t
+            })
+    }
+
+    proptest! {
+        /// Whatever order `join_all` picks, it returns the table a
+        /// left-to-right fold of `hash_join` returns: same columns, same
+        /// sorted rows.
+        #[test]
+        fn join_all_equals_the_left_to_right_fold(
+            tables in proptest::collection::vec(table_strategy(), 0..5),
+        ) {
+            let fold = tables.iter().fold(Bindings::unit(), |acc, t| hash_join(&acc, t));
+            prop_assert_eq!(join_all(&tables), fold);
+        }
+    }
 
     proptest! {
         /// The union of strictly sorted runs is what concatenating them
