@@ -6,6 +6,12 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> examples (each runs once in release mode)"
+# Tier-1 compiles the examples but never executes them.
+for ex in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$ex" .rs)" > /dev/null
+done
+
 echo "==> cargo test -q (MPC_THREADS=1)"
 MPC_THREADS=1 cargo test -q --workspace
 

@@ -13,8 +13,11 @@
 use crate::datasets::lubm_bundle;
 use crate::harness::{partition_with, Method};
 use crate::report::{emit, fresh, pct, write_json, Table};
-use mpc_cluster::{DistributedEngine, ExecRequest, FaultPlan, NetworkModel, RetryPolicy};
+use mpc_cluster::{
+    DistributedEngine, ExecRequest, FaultPlan, FaultSpec, NetworkModel, RetryPolicy,
+};
 use mpc_obs::Json;
+use mpc_sparql::ResolvedPlan;
 
 /// Per-attempt rate for each fault kind (the total fault probability per
 /// attempt is five times this).
@@ -37,29 +40,35 @@ pub fn run() {
         "failed",
         "penalty-ms",
     ]);
+    let plans: Vec<ResolvedPlan> = bundle
+        .benchmark_queries
+        .iter()
+        .map(|nq| ResolvedPlan::from_bgp(nq.query.clone()))
+        .collect();
+    let dict = bundle.graph.dictionary();
     let mut json_rows = Vec::new();
     for rate in RATES {
-        let mut engine = DistributedEngine::build(&bundle.graph, &part, NetworkModel::default());
-        engine.enable_fault_tolerance(
-            FaultPlan::uniform(SEED, rate),
-            RetryPolicy::default(),
-            REPLICAS,
-            true,
-        );
+        // A fresh engine per rate, so every sweep starts at query number 0.
+        let engine = DistributedEngine::build(&bundle.graph, &part, NetworkModel::default());
+        let req = ExecRequest::new().fault(FaultSpec {
+            plan: FaultPlan::uniform(SEED, rate),
+            policy: RetryPolicy::default(),
+            replicas: REPLICAS,
+            graceful: true,
+        });
         let mut complete = 0usize;
         let mut retries = 0u64;
         let mut failovers = 0u64;
         let mut injected = 0u64;
         let mut failed = 0u64;
         let mut penalty = std::time::Duration::ZERO;
-        let queries = bundle.benchmark_queries.len();
-        // `FaultSpec::Inherit` (the default) picks up the armed layer, so
-        // `query_seq` still advances across the workload like the real
-        // cluster's would.
-        let req = ExecRequest::new();
-        for nq in &bundle.benchmark_queries {
+        let queries = plans.len();
+        // Every query carries the same layer, and the engine's query
+        // sequence advances across the workload like the real cluster's
+        // would.
+        for plan in &plans {
             let (partial, stats) = engine
-                .run(&nq.query, &req)
+                .run_plan(plan, &req, dict)
                 // mpc-allow: unwrap-expect graceful degradation turns every fragment failure into a partial result, never an Err
                 .expect("graceful mode never errors")
                 .into_parts();

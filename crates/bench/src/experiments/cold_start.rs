@@ -16,6 +16,7 @@ use crate::harness::{partition_with, Method};
 use crate::report::{emit, fresh, write_json, Table};
 use mpc_cluster::{DistributedEngine, ExecRequest, NetworkModel, Site};
 use mpc_obs::{Json, Recorder};
+use mpc_sparql::ResolvedPlan;
 use std::time::{Duration, Instant};
 
 /// Required load-vs-rebuild advantage (wall-clock ratio).
@@ -45,8 +46,9 @@ fn stream_fingerprint(engine: &DistributedEngine, bundle: &crate::datasets::Data
     let req = ExecRequest::new();
     let mut fp = 0u64;
     for nq in &bundle.benchmark_queries {
+        let plan = ResolvedPlan::from_bgp(nq.query.clone());
         let outcome = engine
-            .run(&nq.query, &req)
+            .run_plan(&plan, &req, bundle.graph.dictionary())
             // mpc-allow: unwrap-expect no fault layer in play, so the request cannot fail
             .expect("no fault layer in play");
         fp = fold_rows(fp, outcome.rows());

@@ -2,8 +2,8 @@
 //! worker threads, with a determinism cross-check. Two workloads:
 //!
 //! * **query** — the LUBM benchmark queries replayed through
-//!   [`DistributedEngine::run`]; the per-site fragment fan-out is what
-//!   parallelizes.
+//!   [`DistributedEngine::run_plan`] as one-leaf plans; the per-site
+//!   fragment fan-out is what parallelizes.
 //! * **select** — internal property selection (Algorithm 1) on a
 //!   realistic synthetic graph; the standalone-cost evaluation over all
 //!   properties is what parallelizes.
@@ -23,6 +23,7 @@ use mpc_core::select::forward_greedy;
 use mpc_core::SelectConfig;
 use mpc_datagen::realistic::{generate as gen_real, RealisticConfig};
 use mpc_obs::Json;
+use mpc_sparql::ResolvedPlan;
 use std::time::{Duration, Instant};
 
 /// Workload repetitions per measurement — amortizes thread-spawn noise.
@@ -47,15 +48,21 @@ pub fn run() {
     let bundle = lubm_bundle();
     let part = partition_with(Method::Mpc, &bundle.graph).partitioning;
     let engine = DistributedEngine::build(&bundle.graph, &part, NetworkModel::default());
+    let plans: Vec<ResolvedPlan> = bundle
+        .benchmark_queries
+        .iter()
+        .map(|nq| ResolvedPlan::from_bgp(nq.query.clone()))
+        .collect();
+    let dict = bundle.graph.dictionary();
 
     let query_sweep = |threads: usize| {
         let req = ExecRequest::new().threads(threads);
         let t0 = Instant::now();
         let mut rows = 0u64;
         for _ in 0..REPEATS {
-            for nq in &bundle.benchmark_queries {
+            for plan in &plans {
                 let outcome = engine
-                    .run(&nq.query, &req)
+                    .run_plan(plan, &req, dict)
                     // mpc-allow: unwrap-expect no fault layer in play, so the request cannot fail
                     .expect("no fault layer in play");
                 rows += outcome.rows().rows.len() as u64;

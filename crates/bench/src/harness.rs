@@ -8,8 +8,8 @@ use mpc_core::{
     Partitioning, SubjectHashPartitioner, VerticalPartitioner,
 };
 use mpc_obs::{Json, Recorder};
-use mpc_rdf::RdfGraph;
-use mpc_sparql::{Bindings, Query};
+use mpc_rdf::{Dictionary, RdfGraph};
+use mpc_sparql::{Bindings, Query, ResolvedPlan};
 use std::time::{Duration, Instant};
 
 /// The number of partitions/sites used throughout the evaluation
@@ -150,9 +150,10 @@ impl EngineSet {
     }
 }
 
-/// Runs one query through the unified [`DistributedEngine::run`] entry
-/// point in an explicit mode, returning rows + stats. All bench engines
-/// are fault-free, so the request cannot fail.
+/// Runs one query through [`DistributedEngine::run_plan`] as a one-leaf
+/// plan in an explicit mode, returning rows + stats. The requests carry
+/// no fault layer, so they cannot fail, and a bare BGP has no FILTER to
+/// read a dictionary, so an empty one stands in.
 pub fn exec(engine: &DistributedEngine, mode: ExecMode, query: &Query) -> (Bindings, ExecutionStats) {
     exec_traced(engine, mode, query, &Recorder::disabled())
 }
@@ -164,9 +165,11 @@ pub fn exec_traced(
     query: &Query,
     rec: &Recorder,
 ) -> (Bindings, ExecutionStats) {
+    let plan = ResolvedPlan::from_bgp(query.clone());
+    let req = RequestSpec::default().mode(mode).to_request(rec);
     let outcome = engine
-        .run(query, &RequestSpec::default().mode(mode).to_request(rec))
-        // mpc-allow: unwrap-expect `FaultSpec::Inherit` on an unarmed engine is infallible
+        .run_plan(&plan, &req, &Dictionary::default())
+        // mpc-allow: unwrap-expect a request without a fault layer cannot fail
         .expect("no fault layer in play");
     let (partial, stats) = outcome.into_parts();
     (partial.rows, stats)

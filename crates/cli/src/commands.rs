@@ -507,7 +507,7 @@ fn chaos_spec(o: &Options) -> Result<Option<FaultSpec>, CliError> {
         ..RetryPolicy::default()
     };
     let replicas: usize = o.parse_or("replicas", 1)?;
-    Ok(Some(FaultSpec::Custom {
+    Ok(Some(FaultSpec {
         plan,
         policy,
         replicas,

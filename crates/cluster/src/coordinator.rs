@@ -22,14 +22,15 @@
 //! where sites proceed in parallel. Result shipping is charged to the
 //! simulated [`NetworkModel`].
 //!
-//! The entry points are [`DistributedEngine::run`] for one BGP and
-//! [`DistributedEngine::run_plan`] for an algebra plan, both driven by an
-//! [`ExecRequest`] (mode, tracing, fault handling, threads, caching) and
-//! returning an [`ExecOutcome`]. For cached serving on top of them, see
-//! [`crate::serve::ServeEngine`].
+//! The one entry point is [`DistributedEngine::run_plan`]: an algebra
+//! plan (a bare BGP is [`ResolvedPlan::from_bgp`]) driven by an
+//! [`ExecRequest`] (mode, tracing, fault layer, threads, caching) and
+//! returning an [`ExecOutcome`]. The fault layer is a per-request
+//! [`FaultSpec`]; the engine itself holds none. For cached serving on top
+//! of it, see [`crate::serve::ServeEngine`].
 
 use crate::decompose::{decompose_crossing_aware, decompose_stars, Subquery};
-use crate::fault::{FaultInjector, FaultKind, FaultPlan, SiteError};
+use crate::fault::{FaultKind, FaultPlan, SiteError};
 use crate::ieq::{classify, is_khop_executable, CrossingSet, IeqClass};
 use crate::network::{NetworkModel, COORDINATOR};
 use crate::retry::{RetryPolicy, SimClock};
@@ -45,7 +46,6 @@ use mpc_sparql::{
     MatchStats, Query, ResolvedFilter, ResolvedPlan, StoreStats, TriplePattern,
 };
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,30 +64,22 @@ pub enum ExecMode {
     StarOnly,
 }
 
-/// Fault handling for one [`ExecRequest`].
-#[non_exhaustive]
-#[derive(Clone, Debug, Default)]
-pub enum FaultSpec {
-    /// Use whatever fault layer the engine armed via
-    /// [`DistributedEngine::enable_fault_tolerance`] (none on a plain
-    /// engine). The default.
-    #[default]
-    Inherit,
-    /// Run without a fault layer, even on an armed engine.
-    Disabled,
-    /// A per-request chaos layer: this request (only) runs against `plan`
-    /// with the given countermeasures; the plan's `cut_sites` are applied
-    /// to a per-request copy of the network model.
-    Custom {
-        /// The faults the simulated cluster will experience.
-        plan: FaultPlan,
-        /// Retry/backoff/deadline countermeasures.
-        policy: RetryPolicy,
-        /// Extra replica hosts per fragment (0 = primaries only).
-        replicas: usize,
-        /// Degrade to explicit [`PartialBindings`] instead of erroring.
-        graceful: bool,
-    },
+/// A request's fault layer: the faults the simulated cluster experiences
+/// and the coordinator's countermeasures. It arms that request only; the
+/// plan's `cut_sites` are applied to a per-request copy of the network
+/// model.
+#[derive(Clone, Debug)]
+pub struct FaultSpec {
+    /// The faults the simulated cluster will experience.
+    pub plan: FaultPlan,
+    /// Retry/backoff/deadline countermeasures.
+    pub policy: RetryPolicy,
+    /// Extra replica hosts per fragment (0 = primaries only). Fragment
+    /// `f`'s replica chain is `f, f+1, …, f+replicas` (mod site count).
+    pub replicas: usize,
+    /// Degrade to explicit [`PartialBindings`] (`complete == false`)
+    /// instead of failing the whole query.
+    pub graceful: bool,
 }
 
 /// One distributed execution, fully described: what to run it as
@@ -108,8 +100,9 @@ pub struct ExecRequest {
     /// Where to record `query.*` / `par.*` metrics (default: disabled —
     /// sites then run the unobserved matcher and nothing is allocated).
     pub recorder: Recorder,
-    /// Fault handling (default: [`FaultSpec::Inherit`]).
-    pub fault: FaultSpec,
+    /// The fault layer (default: none — one attempt per fragment on its
+    /// primary site, and the request cannot fail).
+    pub fault: Option<FaultSpec>,
     /// Worker threads for the per-site fan-out. `None` (default) and
     /// `Some(0)` resolve via `MPC_THREADS`, then the machine's available
     /// parallelism — see [`mpc_par::resolve_threads`]. Results are
@@ -117,7 +110,7 @@ pub struct ExecRequest {
     pub threads: Option<usize>,
     /// Allow answering from the serving layer's result cache (default:
     /// true). Only [`crate::serve::ServeEngine`] consults this — a plain
-    /// [`DistributedEngine::run`] always executes. Set false to force a
+    /// [`DistributedEngine::run_plan`] always executes. Set false to force a
     /// full execution through a serving front end (docs/SERVING.md).
     pub cached: bool,
 }
@@ -127,7 +120,7 @@ impl Default for ExecRequest {
         ExecRequest {
             mode: ExecMode::default(),
             recorder: Recorder::disabled(),
-            fault: FaultSpec::default(),
+            fault: None,
             threads: None,
             cached: true,
         }
@@ -135,8 +128,8 @@ impl Default for ExecRequest {
 }
 
 impl ExecRequest {
-    /// A default request: crossing-aware, untraced, inheriting the
-    /// engine's fault layer, auto thread count.
+    /// A default request: crossing-aware, untraced, no fault layer, auto
+    /// thread count.
     pub fn new() -> Self {
         Self::default()
     }
@@ -155,10 +148,10 @@ impl ExecRequest {
         self
     }
 
-    /// Sets the fault handling.
+    /// Runs this request under the fault layer `fault`.
     #[must_use]
     pub fn fault(mut self, fault: FaultSpec) -> Self {
-        self.fault = fault;
+        self.fault = Some(fault);
         self
     }
 
@@ -178,7 +171,7 @@ impl ExecRequest {
     }
 }
 
-/// What [`DistributedEngine::run`] produced: the (possibly partial)
+/// What [`DistributedEngine::run_plan`] produced: the (possibly partial)
 /// bindings plus the per-stage statistics.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
@@ -240,28 +233,14 @@ pub struct PartialBindings {
     pub failed_sites: Vec<u16>,
 }
 
-/// Fault-tolerance configuration: an injector (the simulated failure
-/// source) plus the coordinator's countermeasures.
-#[derive(Clone)]
-struct FaultLayer {
-    injector: FaultInjector,
-    policy: RetryPolicy,
-    /// Extra replica hosts per fragment (0 = primaries only). Fragment
-    /// `f`'s replica chain is `f, f+1, …, f+replicas` (mod site count).
-    replicas: usize,
-    /// Degrade gracefully (return [`PartialBindings`] with
-    /// `complete == false`) instead of failing the whole query.
-    graceful: bool,
-}
-
-/// One request, resolved once: what [`DistributedEngine::run`] and every
-/// leaf of [`DistributedEngine::run_plan`] execute under.
+/// One request, resolved once: what every leaf of
+/// [`DistributedEngine::run_plan`] executes under.
 struct Ctx<'a> {
     mode: ExecMode,
     rec: &'a Recorder,
     threads: usize,
-    /// The fault layer in effect: the engine's, the request's own, or none.
-    layer: Option<Cow<'a, FaultLayer>>,
+    /// The request's fault layer, if it carries one.
+    layer: Option<&'a FaultSpec>,
     /// The network model, with a per-request layer's cut sites applied.
     network: NetworkModel,
 }
@@ -286,9 +265,6 @@ pub struct DistributedEngine {
     /// build time (crossing-edge replicas are counted once per site, so
     /// counts are upper bounds — fine for comparing plan candidates).
     pub(crate) stats: StoreStats,
-    /// Fault-tolerance layer; `None` (the default) runs every request
-    /// chain as one attempt on the fragment's primary site.
-    fault: Option<FaultLayer>,
     /// Monotone query number — a coordinate of every fault decision, so a
     /// workload's fault sequence is reproducible query by query.
     query_seq: AtomicU64,
@@ -315,11 +291,6 @@ impl DistributedEngine {
         network: NetworkModel,
         radius: usize,
     ) -> Self {
-        let crossing = CrossingSet(
-            g.property_ids()
-                .map(|p| partitioning.is_crossing_property(p))
-                .collect(),
-        );
         let mut load_time = Duration::ZERO;
         let sites: Vec<Site> = partitioning
             .fragments_with_radius(g, radius)
@@ -330,23 +301,7 @@ impl DistributedEngine {
                 site
             })
             .collect();
-        let mut stats = StoreStats::default();
-        for site in &sites {
-            stats.merge(site.store.stats());
-        }
-        DistributedEngine {
-            sites,
-            crossing,
-            network,
-            load_time,
-            radius,
-            semijoin_reduction: false,
-            plans: Mutex::new(FxHashMap::default()),
-            stats,
-            fault: None,
-            query_seq: AtomicU64::new(0),
-            live: None,
-        }
+        Self::assemble(sites, g, partitioning, network, radius, load_time)
     }
 
     /// Assembles an engine from pre-built sites — the snapshot cold-start
@@ -375,6 +330,20 @@ impl DistributedEngine {
         for (i, site) in sites.iter().enumerate() {
             assert_eq!(site.part.index(), i, "sites must be in partition order");
         }
+        Self::assemble(sites, g, partitioning, network, radius, Duration::ZERO)
+    }
+
+    /// The one engine constructor: the crossing set `partitioning`
+    /// induces on `g`, the sites' merged [`StoreStats`], and empty plan
+    /// cache, query sequence and live state.
+    fn assemble(
+        sites: Vec<Site>,
+        g: &RdfGraph,
+        partitioning: &Partitioning,
+        network: NetworkModel,
+        radius: usize,
+        load_time: Duration,
+    ) -> Self {
         let crossing = CrossingSet(
             g.property_ids()
                 .map(|p| partitioning.is_crossing_property(p))
@@ -388,40 +357,14 @@ impl DistributedEngine {
             sites,
             crossing,
             network,
-            load_time: Duration::ZERO,
+            load_time,
             radius,
             semijoin_reduction: false,
             plans: Mutex::new(FxHashMap::default()),
             stats,
-            fault: None,
             query_seq: AtomicU64::new(0),
             live: None,
         }
-    }
-
-    /// Arms the chaos layer: `plan` describes the faults the simulated
-    /// cluster will experience; `policy`, `replicas`, and `graceful`
-    /// describe the coordinator's countermeasures. The plan's `cut_sites`
-    /// are applied to the network model's link-down mask.
-    pub fn enable_fault_tolerance(
-        &mut self,
-        plan: FaultPlan,
-        policy: RetryPolicy,
-        replicas: usize,
-        graceful: bool,
-    ) {
-        self.network = self.network.with_links_down(&plan.cut_sites);
-        self.fault = Some(FaultLayer {
-            injector: FaultInjector::new(plan),
-            policy,
-            replicas,
-            graceful,
-        });
-    }
-
-    /// True once [`Self::enable_fault_tolerance`] has armed the chaos layer.
-    pub fn fault_tolerance_enabled(&self) -> bool {
-        self.fault.is_some()
     }
 
     /// The replication radius of this engine's fragments.
@@ -478,33 +421,29 @@ impl DistributedEngine {
         }
     }
 
-    /// Executes one BGP request through the leaf pipeline.
+    /// Executes a resolved algebra plan ([`mpc_sparql::parse`] →
+    /// [`mpc_sparql::Algebra::resolve`], or [`ResolvedPlan::from_bgp`]
+    /// for a bare BGP) distributedly: each BGP leaf takes the leaf
+    /// pipeline — reusing the plan cache, IEQ classification, and
+    /// per-leaf static join orders — and the OPTIONAL / UNION / FILTER /
+    /// ORDER BY structure above the leaves is combined on the coordinator
+    /// with the bag operators of [`mpc_sparql::algebra`]. `dict` is only
+    /// read by FILTERs that compare terms rather than ids, so an engine
+    /// built without a dictionary passes an empty one.
     ///
-    /// * With no effective fault layer ([`FaultSpec::Disabled`], or
-    ///   [`FaultSpec::Inherit`] on an unarmed engine) this never errors
-    ///   and the outcome is always `complete`.
-    /// * With a fault layer it follows the chaos contract (pinned by the
-    ///   `chaos_*` proptests): the bindings are either exactly the
-    ///   fault-free answer with `complete == true`, or a sound subset
-    ///   with `complete == false` and the unreachable fragments named —
-    ///   never silently wrong, never a panic. In strict mode
+    /// * Without a fault layer ([`ExecRequest::fault`] is `None`) this
+    ///   never errors and the outcome is always `complete`.
+    /// * With one it follows the chaos contract (pinned by the `chaos_*`
+    ///   proptests): the bindings are either exactly the fault-free
+    ///   answer with `complete == true`, or a sound subset with
+    ///   `complete == false` and the unreachable fragments named — never
+    ///   silently wrong, never a panic. In strict mode
     ///   (`graceful == false`) an unreachable fragment fails the query
     ///   with the first [`SiteError`] observed on it.
     ///
     /// The per-site fan-out runs on the bounded deterministic `mpc-par`
     /// pool; see [`ExecRequest::threads`] for the knobs and
     /// docs/PARALLELISM.md for the bit-identical-results contract.
-    pub fn run(&self, query: &Query, req: &ExecRequest) -> Result<ExecOutcome, SiteError> {
-        self.exec_leaf(query, &self.resolve(req), Pushed::default())
-    }
-
-    /// Executes a resolved algebra plan ([`mpc_sparql::parse`] →
-    /// [`mpc_sparql::Algebra::resolve`]) distributedly: each BGP leaf
-    /// takes the pipeline behind [`Self::run`] — reusing the plan cache,
-    /// IEQ classification, and per-leaf static join orders — and the
-    /// OPTIONAL / UNION / FILTER / ORDER BY structure above the leaves
-    /// is combined on the coordinator with the bag operators of
-    /// [`mpc_sparql::algebra`].
     ///
     /// Id-only FILTERs sitting directly on an *independent* leaf are
     /// pushed into the sites (partition-local evaluation; counted under
@@ -569,37 +508,15 @@ impl DistributedEngine {
         })
     }
 
-    /// True if `req` resolves to an active fault layer on this engine.
-    pub(crate) fn fault_effective(&self, req: &ExecRequest) -> bool {
-        match &req.fault {
-            FaultSpec::Disabled => false,
-            FaultSpec::Inherit => self.fault.is_some(),
-            FaultSpec::Custom { .. } => true,
-        }
-    }
-
     /// Resolves `req` once: its thread budget (recorded as `par.threads`)
     /// and the fault layer and network model it runs against.
-    fn resolve<'a>(&'a self, req: &'a ExecRequest) -> Ctx<'a> {
+    fn resolve<'a>(&self, req: &'a ExecRequest) -> Ctx<'a> {
         let threads = mpc_par::resolve_threads(req.threads);
         req.recorder.set("par.threads", threads as u64);
-        let (layer, network) = match &req.fault {
-            FaultSpec::Disabled => (None, self.network),
-            FaultSpec::Inherit => (self.fault.as_ref().map(Cow::Borrowed), self.network),
-            FaultSpec::Custom {
-                plan,
-                policy,
-                replicas,
-                graceful,
-            } => (
-                Some(Cow::Owned(FaultLayer {
-                    injector: FaultInjector::new(plan.clone()),
-                    policy: *policy,
-                    replicas: *replicas,
-                    graceful: *graceful,
-                })),
-                self.network.with_links_down(&plan.cut_sites),
-            ),
+        let layer = req.fault.as_ref();
+        let network = match layer {
+            Some(spec) => self.network.with_links_down(&spec.plan.cut_sites),
+            None => self.network,
         };
         Ctx {
             mode: req.mode,
@@ -614,8 +531,8 @@ impl DistributedEngine {
     /// per fragment on the `mpc-par` pool, a union per subquery, a join
     /// for a decomposed leaf only, then the leaf's [`ExecutionStats`] and
     /// `query.*` metrics. With a disabled recorder the sites run the
-    /// unobserved matcher and nothing is formatted. See [`Self::run`] for
-    /// the fault contract.
+    /// unobserved matcher and nothing is formatted. See [`Self::run_plan`]
+    /// for the fault contract.
     ///
     /// `pushed` is what [`Self::run_plan`] moved into the sites for this
     /// leaf; anything but the default requires an independent `query`.
@@ -648,7 +565,7 @@ impl DistributedEngine {
         };
         // Fault decisions are keyed on the query number, so only a request
         // with a fault layer draws one.
-        let chaos = ctx.layer.as_deref().map(|layer| {
+        let chaos = ctx.layer.map(|layer| {
             // ordering: sequence source for fault-draw coordinates; only the
             // RMW's uniqueness matters, no other data is published through it.
             (layer, self.query_seq.fetch_add(1, Ordering::Relaxed))
@@ -760,7 +677,7 @@ impl DistributedEngine {
             Some((layer, query_seq)) => ctx.network.transfer_time_seeded(
                 comm_bytes,
                 messages,
-                layer.injector.plan().seed ^ query_seq,
+                layer.plan.seed ^ query_seq,
             ),
             None => ctx.network.transfer_time(comm_bytes, messages),
         };
@@ -863,7 +780,7 @@ impl DistributedEngine {
     /// so the penalty is reproducible while the run stays fast.
     fn request_fragment(
         &self,
-        chaos: Option<(&FaultLayer, u64)>,
+        chaos: Option<(&FaultSpec, u64)>,
         network: &NetworkModel,
         fragment_idx: usize,
         req: &SiteRequest<'_>,
@@ -894,12 +811,12 @@ impl DistributedEngine {
                 let fault = if network.partitioned(COORDINATOR, host) {
                     Some(FaultKind::Stall)
                 } else {
-                    layer.injector.decide(query_seq, fragment, host, attempt)
+                    layer.plan.decide(query_seq, fragment, host, attempt)
                 };
                 if fault.is_some() {
                     faults.injected += 1;
                 }
-                let slow_factor = layer.injector.plan().slow_factor;
+                let slow_factor = layer.plan.slow_factor;
                 served = site.serve(req, host, fault, slow_factor, policy.deadline, obs);
                 let Err(e) = &served else {
                     break 'hosts;
@@ -915,9 +832,7 @@ impl DistributedEngine {
                 });
                 if attempt < policy.max_retries {
                     faults.retries += 1;
-                    let stream = layer
-                        .injector
-                        .attempt_hash(query_seq, fragment, host, attempt);
+                    let stream = layer.plan.attempt_hash(query_seq, fragment, host, attempt);
                     clock.charge(policy.backoff(attempt, stream));
                 }
             }
@@ -1114,6 +1029,17 @@ mod tests {
         evaluate(query, &LocalStore::from_graph(g))
     }
 
+    /// A bare BGP through the one entry point. These graphs have no
+    /// dictionary, and a BGP has no FILTER to read one.
+    fn run_bgp(
+        engine: &DistributedEngine,
+        query: &Query,
+        req: &ExecRequest,
+    ) -> Result<ExecOutcome, SiteError> {
+        let plan = ResolvedPlan::from_bgp(query.clone());
+        engine.run_plan(&plan, req, &Dictionary::default())
+    }
+
     /// Infallible execution through the unified entry point (the old
     /// `execute` shape).
     fn exec(engine: &DistributedEngine, query: &Query) -> (Bindings, ExecutionStats) {
@@ -1126,8 +1052,7 @@ mod tests {
         query: &Query,
         mode: ExecMode,
     ) -> (Bindings, ExecutionStats) {
-        let (partial, stats) = engine
-            .run(query, &ExecRequest::new().mode(mode))
+        let (partial, stats) = run_bgp(engine, query, &ExecRequest::new().mode(mode))
             .unwrap()
             .into_parts();
         assert!(partial.complete);
@@ -1140,23 +1065,21 @@ mod tests {
         query: &Query,
         rec: &Recorder,
     ) -> (Bindings, ExecutionStats) {
-        let (partial, stats) = engine
-            .run(query, &ExecRequest::new().traced(rec))
+        let (partial, stats) = run_bgp(engine, query, &ExecRequest::new().traced(rec))
             .unwrap()
             .into_parts();
         assert!(partial.complete);
         (partial.rows, stats)
     }
 
-    /// Execution with the engine's inherited fault layer (the old
+    /// Execution under `req`'s fault layer, if any (the old
     /// `execute_fault_tolerant` shape).
     fn exec_ft(
         engine: &DistributedEngine,
         query: &Query,
+        req: &ExecRequest,
     ) -> Result<(PartialBindings, ExecutionStats), SiteError> {
-        engine
-            .run(query, &ExecRequest::new())
-            .map(ExecOutcome::into_parts)
+        run_bgp(engine, query, req).map(ExecOutcome::into_parts)
     }
 
     #[test]
@@ -1409,17 +1332,21 @@ mod tests {
     use crate::fault::{FaultKind, FaultPlan, ScriptedFault, SiteError};
     use crate::retry::RetryPolicy;
 
+    /// An MPC engine over `g` and a request carrying the fault layer.
     fn chaos_engine(
         g: &RdfGraph,
         plan: FaultPlan,
         policy: RetryPolicy,
         replicas: usize,
         graceful: bool,
-    ) -> DistributedEngine {
-        let part = MpcPartitioner::new(MpcConfig::with_k(2)).partition(g);
-        let mut engine = DistributedEngine::build(g, &part, NetworkModel::free());
-        engine.enable_fault_tolerance(plan, policy, replicas, graceful);
-        engine
+    ) -> (DistributedEngine, ExecRequest) {
+        let req = ExecRequest::new().fault(FaultSpec {
+            plan,
+            policy,
+            replicas,
+            graceful,
+        });
+        (mpc_engine(g), req)
     }
 
     fn scripted(
@@ -1443,9 +1370,8 @@ mod tests {
     fn unarmed_engine_answers_complete_with_zero_fault_stats() {
         let g = dataset();
         let engine = mpc_engine(&g);
-        assert!(!engine.fault_tolerance_enabled());
         let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
-        let (partial, stats) = exec_ft(&engine, &query).unwrap();
+        let (partial, stats) = exec_ft(&engine, &query, &ExecRequest::new()).unwrap();
         assert!(partial.complete);
         assert!(partial.failed_sites.is_empty());
         assert_eq!(partial.rows, reference(&g, &query));
@@ -1455,8 +1381,7 @@ mod tests {
     #[test]
     fn quiet_plan_matches_plain_execution_on_both_paths() {
         let g = dataset();
-        let engine = chaos_engine(&g, FaultPlan::none(), RetryPolicy::default(), 1, true);
-        assert!(engine.fault_tolerance_enabled());
+        let (engine, req) = chaos_engine(&g, FaultPlan::none(), RetryPolicy::default(), 1, true);
         // IEQ (independent) and non-IEQ (decomposed) queries.
         let independent = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
         let decomposed = q(
@@ -1468,7 +1393,7 @@ mod tests {
             4,
         );
         for query in [&independent, &decomposed] {
-            let (partial, stats) = exec_ft(&engine, query).unwrap();
+            let (partial, stats) = exec_ft(&engine, query, &req).unwrap();
             assert!(partial.complete);
             assert_eq!(partial.rows, reference(&g, query));
             assert_eq!(stats.faults.injected, 0);
@@ -1484,9 +1409,9 @@ mod tests {
         let g = dataset();
         // Fragment 0's primary crashes on the first attempt only.
         let plan = scripted(Some(0), Some(0), FaultKind::Crash, 1);
-        let engine = chaos_engine(&g, plan, RetryPolicy::default(), 0, false);
+        let (engine, req) = chaos_engine(&g, plan, RetryPolicy::default(), 0, false);
         let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
-        let (partial, stats) = exec_ft(&engine, &query).unwrap();
+        let (partial, stats) = exec_ft(&engine, &query, &req).unwrap();
         assert!(partial.complete);
         assert_eq!(partial.rows, reference(&g, &query));
         assert_eq!(stats.faults.injected, 1);
@@ -1511,9 +1436,9 @@ mod tests {
             deadline: Duration::from_millis(200),
             ..RetryPolicy::default()
         };
-        let engine = chaos_engine(&g, plan, policy, 1, false);
+        let (engine, req) = chaos_engine(&g, plan, policy, 1, false);
         let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
-        let (partial, stats) = exec_ft(&engine, &query).unwrap();
+        let (partial, stats) = exec_ft(&engine, &query, &req).unwrap();
         assert!(partial.complete);
         assert_eq!(partial.rows, reference(&g, &query));
         assert_eq!(stats.faults.failovers, 1);
@@ -1533,9 +1458,9 @@ mod tests {
             jitter: 0.0,
             ..RetryPolicy::default()
         };
-        let engine = chaos_engine(&g, plan.clone(), policy, 1, true);
+        let (engine, req) = chaos_engine(&g, plan.clone(), policy, 1, true);
         let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
-        let (partial, stats) = exec_ft(&engine, &query).unwrap();
+        let (partial, stats) = exec_ft(&engine, &query, &req).unwrap();
         assert!(!partial.complete, "missing fragment must be reported");
         assert_eq!(partial.failed_sites, vec![0]);
         assert!(stats.faults.degraded);
@@ -1549,8 +1474,8 @@ mod tests {
         assert!(partial.rows.rows.iter().all(|r| expected.rows.contains(r)));
 
         // Strict mode turns the same scenario into an error naming a host.
-        let strict = chaos_engine(&g, plan, policy, 1, false);
-        let err = exec_ft(&strict, &query).unwrap_err();
+        let (strict, strict_req) = chaos_engine(&g, plan, policy, 1, false);
+        let err = exec_ft(&strict, &query, &strict_req).unwrap_err();
         assert!(matches!(err, SiteError::Crashed { .. }), "{err}");
     }
 
@@ -1559,7 +1484,7 @@ mod tests {
         let g = dataset();
         // Every fragment's first attempt returns a damaged payload.
         let plan = scripted(None, None, FaultKind::Corrupt, 1);
-        let engine = chaos_engine(&g, plan, RetryPolicy::default(), 0, false);
+        let (engine, req) = chaos_engine(&g, plan, RetryPolicy::default(), 0, false);
         // Non-IEQ query: the corrupt payload crosses the decomposed path.
         let query = q(
             vec![
@@ -1569,7 +1494,7 @@ mod tests {
             ],
             4,
         );
-        let (partial, stats) = exec_ft(&engine, &query).unwrap();
+        let (partial, stats) = exec_ft(&engine, &query, &req).unwrap();
         assert!(partial.complete);
         assert_eq!(partial.rows, reference(&g, &query));
         assert_eq!(stats.faults.injected, 2, "one corrupt payload per fragment");
@@ -1590,9 +1515,9 @@ mod tests {
             deadline: Duration::from_millis(100),
             ..RetryPolicy::default()
         };
-        let engine = chaos_engine(&g, plan, policy, 1, false);
+        let (engine, req) = chaos_engine(&g, plan, policy, 1, false);
         let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
-        let (partial, stats) = exec_ft(&engine, &query).unwrap();
+        let (partial, stats) = exec_ft(&engine, &query, &req).unwrap();
         assert!(partial.complete);
         assert_eq!(partial.rows, reference(&g, &query));
         // The severed link behaves as a stall: deadline, then failover.
@@ -1617,7 +1542,7 @@ mod tests {
             q(vec![TriplePattern::new(v(0), prop(2), v(1))], 2),
         ];
         let run = || {
-            let engine = chaos_engine(
+            let (engine, req) = chaos_engine(
                 &g,
                 FaultPlan::uniform(99, 0.12),
                 RetryPolicy::default(),
@@ -1627,7 +1552,7 @@ mod tests {
             queries
                 .iter()
                 .map(|query| {
-                    let (partial, stats) = exec_ft(&engine, query).unwrap();
+                    let (partial, stats) = exec_ft(&engine, query, &req).unwrap();
                     (partial.complete, partial.failed_sites.clone(), stats.faults)
                 })
                 .collect::<Vec<_>>()
@@ -1636,15 +1561,100 @@ mod tests {
         assert_eq!(run(), run(), "same seed + same plan must reproduce exactly");
     }
 
+    /// The fault draws of a fixed workload, pinned literally: fault
+    /// decisions key on (plan, seed, query number, fragment, host,
+    /// attempt) and nothing else, so these counters and penalties are
+    /// what every version of the coordinator must reproduce. Recorded
+    /// when the fault layer could still be armed on the engine instead of
+    /// carried by the request.
+    #[test]
+    fn fault_draws_match_the_recorded_workload() {
+        let g = dataset();
+        let queries = [
+            q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2),
+            q(
+                vec![
+                    TriplePattern::new(v(0), prop(0), v(1)),
+                    TriplePattern::new(v(1), prop(2), v(2)),
+                    TriplePattern::new(v(2), prop(1), v(3)),
+                ],
+                4,
+            ),
+            q(vec![TriplePattern::new(v(0), prop(2), v(1))], 2),
+            q(
+                vec![
+                    TriplePattern::new(v(0), prop(0), v(1)),
+                    TriplePattern::new(v(1), prop(0), v(2)),
+                ],
+                3,
+            ),
+        ];
+        let stats = |attempts, retries, failovers, injected, failed: u64, penalty_ns| FaultStats {
+            attempts,
+            retries,
+            failovers,
+            injected,
+            failed_fragments: failed,
+            degraded: failed > 0,
+            penalty: Duration::from_nanos(penalty_ns),
+        };
+        let cases = [
+            (
+                FaultPlan::uniform(11, 0.17),
+                vec![
+                    (true, stats(5, 3, 0, 5, 0, 510_021_082)),
+                    (false, stats(8, 5, 1, 8, 1, 564_474_685)),
+                    (false, stats(7, 4, 1, 7, 1, 64_517_024)),
+                    (true, stats(4, 2, 0, 4, 0, 535_196_428)),
+                ],
+            ),
+            // Fragment 1's primary refuses every attempt: three tries,
+            // then the replica answers.
+            (
+                scripted(Some(1), Some(1), FaultKind::Crash, u32::MAX),
+                vec![
+                    (true, stats(5, 2, 1, 3, 0, 30_659_165)),
+                    (true, stats(5, 2, 1, 3, 0, 31_790_193)),
+                    (true, stats(5, 2, 1, 3, 0, 32_977_270)),
+                    (true, stats(5, 2, 1, 3, 0, 32_443_292)),
+                ],
+            ),
+            // Site 0's link is down: three expired deadlines, then the
+            // replica answers.
+            (
+                FaultPlan {
+                    cut_sites: vec![0],
+                    ..FaultPlan::none()
+                },
+                vec![
+                    (true, stats(5, 2, 1, 3, 0, 1_534_506_522)),
+                    (true, stats(5, 2, 1, 3, 0, 1_533_610_676)),
+                    (true, stats(5, 2, 1, 3, 0, 1_532_432_710)),
+                    (true, stats(5, 2, 1, 3, 0, 1_534_452_944)),
+                ],
+            ),
+        ];
+        for (plan, want) in cases {
+            let (engine, req) = chaos_engine(&g, plan.clone(), RetryPolicy::default(), 1, true);
+            let got: Vec<(bool, FaultStats)> = queries
+                .iter()
+                .map(|query| {
+                    let (partial, stats) = exec_ft(&engine, query, &req).unwrap();
+                    (partial.complete, stats.faults)
+                })
+                .collect();
+            assert_eq!(got, want, "{plan:?}");
+        }
+    }
+
     #[test]
     fn traced_chaos_execution_records_fault_counters() {
         let g = dataset();
         let plan = scripted(Some(0), Some(0), FaultKind::Crash, 1);
-        let engine = chaos_engine(&g, plan, RetryPolicy::default(), 0, false);
+        let (engine, req) = chaos_engine(&g, plan, RetryPolicy::default(), 0, false);
         let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
         let rec = Recorder::enabled();
-        let (partial, stats) = engine
-            .run(&query, &ExecRequest::new().traced(&rec))
+        let (partial, stats) = run_bgp(&engine, &query, &req.traced(&rec))
             .unwrap()
             .into_parts();
         assert!(partial.complete);
@@ -1664,7 +1674,7 @@ mod tests {
         let req = ExecRequest::new();
         assert_eq!(req.mode, ExecMode::CrossingAware);
         assert!(!req.recorder.is_enabled());
-        assert!(matches!(req.fault, FaultSpec::Inherit));
+        assert!(req.fault.is_none());
         assert_eq!(req.threads, None);
         assert!(req.cached, "caching opt-out, not opt-in");
         assert!(!req.cached(false).cached);
@@ -1684,9 +1694,7 @@ mod tests {
         // Infallible path: both modes match the centralized reference.
         let engine = mpc_engine(&g);
         for mode in [ExecMode::CrossingAware, ExecMode::StarOnly] {
-            let outcome = engine
-                .run(&query, &ExecRequest::new().mode(mode))
-                .unwrap();
+            let outcome = run_bgp(&engine, &query, &ExecRequest::new().mode(mode)).unwrap();
             assert!(outcome.bindings.complete);
             assert_eq!(outcome.rows(), &reference(&g, &query));
         }
@@ -1694,51 +1702,11 @@ mod tests {
         // on the engine's query sequence, so a rerun reproduces exactly.
         let plan = FaultPlan::uniform(7, 0.1);
         let run_once = || {
-            let engine = chaos_engine(&g, plan.clone(), RetryPolicy::default(), 1, true);
-            let (partial, stats) = exec_ft(&engine, &query).unwrap();
+            let (engine, req) = chaos_engine(&g, plan.clone(), RetryPolicy::default(), 1, true);
+            let (partial, stats) = exec_ft(&engine, &query, &req).unwrap();
             (partial.rows, partial.complete, stats.faults)
         };
         assert_eq!(run_once(), run_once(), "fresh engines must agree");
-    }
-
-    #[test]
-    fn fault_spec_disabled_bypasses_an_armed_engine() {
-        let g = dataset();
-        // Every request everywhere crashes, forever.
-        let plan = scripted(None, None, FaultKind::Crash, u32::MAX);
-        let engine = chaos_engine(&g, plan, RetryPolicy::default(), 1, true);
-        let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
-        let outcome = engine
-            .run(&query, &ExecRequest::new().fault(FaultSpec::Disabled))
-            .unwrap();
-        assert!(outcome.bindings.complete);
-        assert_eq!(outcome.rows(), &reference(&g, &query));
-        assert_eq!(outcome.stats.faults, FaultStats::default());
-    }
-
-    #[test]
-    fn fault_spec_custom_arms_one_request_only() {
-        let g = dataset();
-        let engine = mpc_engine(&g);
-        let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
-        // Fragment 0's primary crashes on the first attempt only.
-        let custom = FaultSpec::Custom {
-            plan: scripted(Some(0), Some(0), FaultKind::Crash, 1),
-            policy: RetryPolicy::default(),
-            replicas: 0,
-            graceful: false,
-        };
-        let outcome = engine
-            .run(&query, &ExecRequest::new().fault(custom))
-            .unwrap();
-        assert!(outcome.bindings.complete);
-        assert_eq!(outcome.rows(), &reference(&g, &query));
-        assert_eq!(outcome.stats.faults.injected, 1);
-        assert_eq!(outcome.stats.faults.retries, 1);
-        // The engine itself stays unarmed: the next request sees nothing.
-        assert!(!engine.fault_tolerance_enabled());
-        let plain = engine.run(&query, &ExecRequest::new()).unwrap();
-        assert_eq!(plain.stats.faults, FaultStats::default());
     }
 
     #[test]
@@ -1747,9 +1715,8 @@ mod tests {
         let engine = mpc_engine(&g);
         let query = q(vec![TriplePattern::new(v(0), prop(0), v(1))], 2);
         let rec = Recorder::enabled();
-        let outcome = engine
-            .run(&query, &ExecRequest::new().traced(&rec).threads(4))
-            .unwrap();
+        let outcome =
+            run_bgp(&engine, &query, &ExecRequest::new().traced(&rec).threads(4)).unwrap();
         assert!(outcome.bindings.complete);
         assert_eq!(rec.counter("par.threads"), Some(4));
         assert_eq!(
@@ -1773,8 +1740,7 @@ mod tests {
             4,
         );
         let at = |t: usize| {
-            engine
-                .run(&query, &ExecRequest::new().threads(t))
+            run_bgp(&engine, &query, &ExecRequest::new().threads(t))
                 .unwrap()
                 .bindings
                 .rows
@@ -1921,9 +1887,13 @@ mod tests {
     #[test]
     fn run_plan_under_a_quiet_fault_layer_pushes_and_seeds_like_the_unarmed_engine() {
         let g = iri_dataset();
-        let plain = mpc_engine(&g);
-        let mut armed = mpc_engine(&g);
-        armed.enable_fault_tolerance(FaultPlan::none(), RetryPolicy::default(), 0, true);
+        let engine = mpc_engine(&g);
+        let quiet = ExecRequest::new().fault(FaultSpec {
+            plan: FaultPlan::none(),
+            policy: RetryPolicy::default(),
+            replicas: 0,
+            graceful: true,
+        });
         let filtered = "SELECT * WHERE { ?h <urn:p:2> ?x . ?h <urn:p:2> ?y FILTER(?x != ?y) }";
         let offers = [
             "query.pushdown.site_evals",
@@ -1938,20 +1908,20 @@ mod tests {
             plan.root.for_each(&mut |n| {
                 leaves += u64::from(matches!(n, mpc_sparql::PlanNode::Bgp { .. }));
             });
-            let run = |engine: &DistributedEngine| {
+            let run = |req: &ExecRequest| {
                 let rec = Recorder::enabled();
                 let outcome = engine
-                    .run_plan(&plan, &ExecRequest::new().traced(&rec), g.dictionary())
+                    .run_plan(&plan, &req.clone().traced(&rec), g.dictionary())
                     .expect("an empty fault plan injects nothing");
                 (outcome, rec)
             };
-            let (want, want_rec) = run(&plain);
-            let (got, got_rec) = run(&armed);
+            let (want, want_rec) = run(&ExecRequest::new());
+            let (got, got_rec) = run(&quiet);
             assert_eq!(got.rows(), want.rows(), "{text}");
             assert!(got.bindings.complete, "{text}");
             assert!(
                 want_rec.counter(offers[0]).is_some() || want_rec.counter(offers[2]).is_some(),
-                "the unarmed engine takes the offer: {text}"
+                "a request without a fault layer takes the offer: {text}"
             );
             for name in offers {
                 let (got, want) = (got_rec.counter(name), want_rec.counter(name));
@@ -1959,7 +1929,7 @@ mod tests {
             }
             assert_eq!(
                 got.stats.faults.attempts,
-                armed.site_count() as u64 * leaves,
+                engine.site_count() as u64 * leaves,
                 "one attempt per site per leaf: {text}"
             );
         }

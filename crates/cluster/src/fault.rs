@@ -4,8 +4,8 @@
 //! machines crash, stall, and corrupt payloads; our in-process simulation
 //! is otherwise infallible. This module makes failure a first-class,
 //! *reproducible* input: a [`FaultPlan`] describes which faults can occur
-//! (sampled rates and/or exactly scripted events), and a [`FaultInjector`]
-//! turns the plan plus a seed into a pure decision function — the fault
+//! (sampled rates and/or exactly scripted events), and its
+//! [`FaultPlan::decide`] is a pure decision function — the fault
 //! injected into a given (query, fragment, host, attempt) tuple depends
 //! only on those coordinates, never on wall-clock time or thread
 //! scheduling. Same seed + same plan ⇒ the same faults, every run.
@@ -254,6 +254,50 @@ impl FaultPlan {
         }
         Ok(plan)
     }
+
+    /// Deterministic per-attempt hash stream, also used to seed backoff
+    /// jitter so retries of different attempts de-synchronize.
+    pub fn attempt_hash(&self, query_seq: u64, fragment: u16, host: u16, attempt: u32) -> u64 {
+        let mut h = self.seed;
+        h = splitmix64(h ^ query_seq);
+        h = splitmix64(h ^ (u64::from(fragment) << 32) ^ u64::from(host));
+        splitmix64(h ^ u64::from(attempt))
+    }
+
+    /// The fault (if any) injected into attempt `attempt` of the request
+    /// for `fragment` served by `host` during query number `query_seq`.
+    ///
+    /// A function of those coordinates and the plan only, so decisions
+    /// are identical across runs and independent of thread scheduling —
+    /// the property the determinism tests pin down.
+    pub fn decide(
+        &self,
+        query_seq: u64,
+        fragment: u16,
+        host: u16,
+        attempt: u32,
+    ) -> Option<FaultKind> {
+        for s in &self.scripted {
+            if s.matches(fragment, host, attempt) {
+                return Some(s.kind);
+            }
+        }
+        let u = unit_f64(self.attempt_hash(query_seq, fragment, host, attempt));
+        let mut threshold = 0.0;
+        for (rate, kind) in [
+            (self.crash, FaultKind::Crash),
+            (self.stall, FaultKind::Stall),
+            (self.corrupt, FaultKind::Corrupt),
+            (self.overload, FaultKind::Overload),
+            (self.slow, FaultKind::Slow),
+        ] {
+            threshold += rate;
+            if u < threshold {
+                return Some(kind);
+            }
+        }
+        None
+    }
 }
 
 /// SplitMix64 — the same tiny mixer the workspace's `rand` shim uses;
@@ -271,79 +315,17 @@ pub(crate) fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The pure decision function: plan + seed → fault per request attempt.
-///
-/// `decide` is a function of `(query_seq, fragment, host, attempt)` only,
-/// so decisions are identical across runs and independent of thread
-/// scheduling — the property the determinism tests pin down.
-#[derive(Clone, Debug)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-}
-
-impl FaultInjector {
-    /// Wraps a plan into an injector.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultInjector { plan }
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Deterministic per-attempt hash stream, also used to seed backoff
-    /// jitter so retries of different attempts de-synchronize.
-    pub fn attempt_hash(&self, query_seq: u64, fragment: u16, host: u16, attempt: u32) -> u64 {
-        let mut h = self.plan.seed;
-        h = splitmix64(h ^ query_seq);
-        h = splitmix64(h ^ (u64::from(fragment) << 32) ^ u64::from(host));
-        splitmix64(h ^ u64::from(attempt))
-    }
-
-    /// The fault (if any) injected into attempt `attempt` of the request
-    /// for `fragment` served by `host` during query number `query_seq`.
-    pub fn decide(
-        &self,
-        query_seq: u64,
-        fragment: u16,
-        host: u16,
-        attempt: u32,
-    ) -> Option<FaultKind> {
-        for s in &self.plan.scripted {
-            if s.matches(fragment, host, attempt) {
-                return Some(s.kind);
-            }
-        }
-        let u = unit_f64(self.attempt_hash(query_seq, fragment, host, attempt));
-        let mut threshold = 0.0;
-        for (rate, kind) in [
-            (self.plan.crash, FaultKind::Crash),
-            (self.plan.stall, FaultKind::Stall),
-            (self.plan.corrupt, FaultKind::Corrupt),
-            (self.plan.overload, FaultKind::Overload),
-            (self.plan.slow, FaultKind::Slow),
-        ] {
-            threshold += rate;
-            if u < threshold {
-                return Some(kind);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quiet_plan_never_injects() {
-        let inj = FaultInjector::new(FaultPlan::none());
+        let plan = FaultPlan::none();
         for q in 0..10u64 {
             for f in 0..4u16 {
                 for a in 0..4u32 {
-                    assert_eq!(inj.decide(q, f, f, a), None);
+                    assert_eq!(plan.decide(q, f, f, a), None);
                 }
             }
         }
@@ -351,8 +333,8 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic() {
-        let a = FaultInjector::new(FaultPlan::uniform(42, 0.1));
-        let b = FaultInjector::new(FaultPlan::uniform(42, 0.1));
+        let a = FaultPlan::uniform(42, 0.1);
+        let b = FaultPlan::uniform(42, 0.1);
         for q in 0..20u64 {
             for f in 0..4u16 {
                 for att in 0..4u32 {
@@ -364,8 +346,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ_somewhere() {
-        let a = FaultInjector::new(FaultPlan::uniform(1, 0.3));
-        let b = FaultInjector::new(FaultPlan::uniform(2, 0.3));
+        let a = FaultPlan::uniform(1, 0.3);
+        let b = FaultPlan::uniform(2, 0.3);
         let differs = (0..50u64).any(|q| a.decide(q, 0, 0, 0) != b.decide(q, 0, 0, 0));
         assert!(differs, "seeds 1 and 2 produced identical fault streams");
     }
@@ -378,10 +360,10 @@ mod tests {
             crash: 0.3,
             ..FaultPlan::none()
         };
-        let inj = FaultInjector::new(FaultPlan { seed: 7, ..plan });
+        let plan = FaultPlan { seed: 7, ..plan };
         let n = 10_000u64;
         let crashes = (0..n)
-            .filter(|&q| inj.decide(q, 0, 0, 0) == Some(FaultKind::Crash))
+            .filter(|&q| plan.decide(q, 0, 0, 0) == Some(FaultKind::Crash))
             .count();
         let rate = crashes as f64 / n as f64;
         assert!((0.25..0.35).contains(&rate), "empirical crash rate {rate}");
@@ -398,11 +380,10 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.decide(0, 1, 1, 0), Some(FaultKind::Stall));
-        assert_eq!(inj.decide(0, 1, 2, 1), Some(FaultKind::Stall));
-        assert_eq!(inj.decide(0, 1, 1, 2), None, "third attempt succeeds");
-        assert_eq!(inj.decide(0, 0, 0, 0), None, "other fragments untouched");
+        assert_eq!(plan.decide(0, 1, 1, 0), Some(FaultKind::Stall));
+        assert_eq!(plan.decide(0, 1, 2, 1), Some(FaultKind::Stall));
+        assert_eq!(plan.decide(0, 1, 1, 2), None, "third attempt succeeds");
+        assert_eq!(plan.decide(0, 0, 0, 0), None, "other fragments untouched");
     }
 
     #[test]

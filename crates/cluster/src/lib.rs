@@ -43,7 +43,7 @@ pub use coordinator::{
     DistributedEngine, ExecMode, ExecOutcome, ExecRequest, FaultSpec, PartialBindings,
 };
 pub use decompose::{decompose_crossing_aware, decompose_stars, extract_subquery, Subquery};
-pub use fault::{FaultInjector, FaultKind, FaultPlan, ScriptedFault, SiteError};
+pub use fault::{FaultKind, FaultPlan, ScriptedFault, SiteError};
 pub use ieq::{classify, is_khop_executable, CrossingOracle, CrossingSet, IeqClass};
 pub use network::{NetworkModel, COORDINATOR};
 pub use partial::{partial_evaluate, PartialEvalStats};
@@ -190,6 +190,7 @@ mod proptests {
             k in 2usize..4,
         ) {
             let expected = reference(&g, &query);
+            let plan = ResolvedPlan::from_bgp(query.clone());
             let parts: Vec<Box<dyn Partitioner>> = vec![
                 Box::new(MpcPartitioner::new(MpcConfig::with_k(k))),
                 Box::new(SubjectHashPartitioner::new(k)),
@@ -200,7 +201,7 @@ mod proptests {
                 let engine = DistributedEngine::build(&g, &partitioning, NetworkModel::free());
                 for mode in [ExecMode::CrossingAware, ExecMode::StarOnly] {
                     let outcome = engine
-                        .run(&query, &ExecRequest::new().mode(mode))
+                        .run_plan(&plan, &ExecRequest::new().mode(mode), g.dictionary())
                         .expect("fault-free execution is total");
                     prop_assert_eq!(
                         outcome.rows(), &expected,
@@ -225,6 +226,7 @@ mod proptests {
             k in 2usize..4,
         ) {
             let expected = reference(&g, &query);
+            let plan = ResolvedPlan::from_bgp(query);
             let partitioning = MpcPartitioner::new(MpcConfig::with_k(k)).partition(&g);
             let one_hop = DistributedEngine::build(&g, &partitioning, NetworkModel::free());
             let mut prev_stored = one_hop.stored_triples();
@@ -235,7 +237,7 @@ mod proptests {
                 prop_assert!(engine.stored_triples() >= prev_stored);
                 prev_stored = engine.stored_triples();
                 let outcome = engine
-                    .run(&query, &ExecRequest::new())
+                    .run_plan(&plan, &ExecRequest::new(), g.dictionary())
                     .expect("fault-free execution is total");
                 prop_assert_eq!(outcome.rows(), &expected, "radius {}", radius);
             }
@@ -256,18 +258,18 @@ mod proptests {
             replicas in 0usize..3,
         ) {
             let expected = reference(&g, &query);
+            let plan = ResolvedPlan::from_bgp(query);
             let partitioning = MpcPartitioner::new(MpcConfig::with_k(k)).partition(&g);
-            let mut engine =
-                DistributedEngine::build(&g, &partitioning, NetworkModel::free());
-            engine.enable_fault_tolerance(
-                FaultPlan::uniform(seed, rate),
-                RetryPolicy::default(),
+            let engine = DistributedEngine::build(&g, &partitioning, NetworkModel::free());
+            let chaos = ExecRequest::new().fault(FaultSpec {
+                plan: FaultPlan::uniform(seed, rate),
+                policy: RetryPolicy::default(),
                 replicas,
-                true,
-            );
+                graceful: true,
+            });
             for mode in [ExecMode::CrossingAware, ExecMode::StarOnly] {
                 let (partial, stats) = engine
-                    .run(&query, &ExecRequest::new().mode(mode))
+                    .run_plan(&plan, &chaos.clone().mode(mode), g.dictionary())
                     .expect("graceful mode never errors")
                     .into_parts();
                 if partial.complete {
@@ -322,17 +324,19 @@ mod proptests {
             query in query_strategy(),
             k in 2usize..4,
         ) {
+            let plan = ResolvedPlan::from_bgp(query);
+            let dict = g.dictionary();
             let partitioning = MpcPartitioner::new(MpcConfig::with_k(k)).partition(&g);
             let engine = DistributedEngine::build(&g, &partitioning, NetworkModel::free());
             // Warm the plan cache so every traced run below records the
             // same hit/miss counters.
             engine
-                .run(&query, &ExecRequest::new())
+                .run_plan(&plan, &ExecRequest::new(), dict)
                 .expect("fault-free execution is total");
             let run_at = |threads: usize| {
                 let rec = mpc_obs::Recorder::enabled();
                 let outcome = engine
-                    .run(&query, &ExecRequest::new().traced(&rec).threads(threads))
+                    .run_plan(&plan, &ExecRequest::new().traced(&rec).threads(threads), dict)
                     .expect("fault-free execution is total");
                 let mut counters = rec.counters();
                 // The pool's own accounting legitimately varies with the
@@ -426,7 +430,7 @@ mod proptests {
             let dict = g.dictionary();
             let serve = ServeEngine::new(build(), 4);
             let bare = build();
-            let chaos = || FaultSpec::Custom {
+            let chaos = || FaultSpec {
                 plan: FaultPlan::uniform(seed, rate),
                 policy: RetryPolicy::default(),
                 replicas: 1,
@@ -470,18 +474,18 @@ mod proptests {
             k in 2usize..4,
         ) {
             let expected = reference(&g, &query);
+            let plan = ResolvedPlan::from_bgp(query);
             let partitioning = MpcPartitioner::new(MpcConfig::with_k(k)).partition(&g);
             let run_at = |threads: usize| {
-                let mut engine =
-                    DistributedEngine::build(&g, &partitioning, NetworkModel::free());
-                engine.enable_fault_tolerance(
-                    FaultPlan::uniform(seed, rate),
-                    RetryPolicy::default(),
-                    1,
-                    true,
-                );
+                let engine = DistributedEngine::build(&g, &partitioning, NetworkModel::free());
+                let req = ExecRequest::new().threads(threads).fault(FaultSpec {
+                    plan: FaultPlan::uniform(seed, rate),
+                    policy: RetryPolicy::default(),
+                    replicas: 1,
+                    graceful: true,
+                });
                 engine
-                    .run(&query, &ExecRequest::new().threads(threads))
+                    .run_plan(&plan, &req, g.dictionary())
                     .expect("graceful mode never errors")
                     .into_parts()
             };
@@ -545,15 +549,15 @@ mod proptests {
             want.sort_unstable();
             let partitioning = MpcPartitioner::new(MpcConfig::with_k(k)).partition(&g);
             let run_at = |threads: usize| {
-                let mut engine = DistributedEngine::build(&g, &partitioning, NetworkModel::free());
-                engine.enable_fault_tolerance(
-                    FaultPlan::uniform(seed, rate),
-                    RetryPolicy::default(),
-                    1,
-                    true,
-                );
+                let engine = DistributedEngine::build(&g, &partitioning, NetworkModel::free());
+                let req = ExecRequest::new().threads(threads).fault(FaultSpec {
+                    plan: FaultPlan::uniform(seed, rate),
+                    policy: RetryPolicy::default(),
+                    replicas: 1,
+                    graceful: true,
+                });
                 engine
-                    .run_plan(&plan, &ExecRequest::new().threads(threads), dict)
+                    .run_plan(&plan, &req, dict)
                     .expect("graceful mode never errors")
                     .into_parts()
             };
@@ -720,8 +724,13 @@ mod proptests {
                 prop_assert_eq!(inc.part_of(v), recount.part_of(v), "placement {}", v);
             }
             let fresh = DistributedEngine::build(&lg, &lp, NetworkModel::free());
-            let committed = eng.run(&query, &ExecRequest::new()).expect("fault-free");
-            let rebuilt = fresh.run(&query, &ExecRequest::new()).expect("fault-free");
+            let plan = ResolvedPlan::from_bgp(query.clone());
+            let committed = eng
+                .run_plan(&plan, &ExecRequest::new(), lg.dictionary())
+                .expect("fault-free");
+            let rebuilt = fresh
+                .run_plan(&plan, &ExecRequest::new(), lg.dictionary())
+                .expect("fault-free");
             prop_assert_eq!(committed.rows(), rebuilt.rows(), "committed vs rebuilt");
             prop_assert_eq!(committed.rows(), &reference(&lg, &query), "vs centralized");
         }

@@ -76,8 +76,9 @@ struct PieceMatches {
 }
 
 /// Evaluates `query` over the fragments by partial evaluation + assembly.
-/// Returns all-variable bindings (same layout as
-/// [`crate::DistributedEngine::run`]) plus statistics.
+/// Returns all-variable bindings (the layout
+/// [`crate::DistributedEngine::run_plan`] gives a bare BGP) plus
+/// statistics.
 ///
 /// # Panics
 /// Panics if the query has more than [`MAX_PATTERNS`] patterns.

@@ -37,7 +37,7 @@
 //! * under `LIMIT` / `OFFSET` without a total order, the answer is a
 //!   valid sub-bag of the unsliced answer with the right row count — the
 //!   canonical run may keep different tied rows than `run_plan` would;
-//! * requests with an effective fault layer pass straight through to
+//! * requests with a fault layer pass straight through to
 //!   [`DistributedEngine::run_plan`] on the original plan, uncached —
 //!   fault decisions are keyed on the engine's query sequence, and a
 //!   cache hit would desynchronize it (and a degraded answer must never
@@ -385,7 +385,7 @@ impl ServeEngine {
     /// Misses execute the **canonical** plan (so hits restore cached
     /// rows verbatim — the resolver's root projection makes original
     /// and canonical output columns correspond pointwise). Requests with
-    /// an effective fault layer pass straight through to
+    /// a fault layer pass straight through to
     /// [`DistributedEngine::run_plan`] on the original plan, uncached.
     ///
     /// Counters (when `req.recorder` is live): `serve.plan.hit` /
@@ -400,7 +400,7 @@ impl ServeEngine {
     ) -> Result<ExecOutcome, SiteError> {
         // Chaos requests pass through uncached so the engine's query
         // sequence advances exactly as it would without a front end.
-        if self.inner.fault_effective(req) {
+        if req.fault.is_some() {
             return self.inner.run_plan(plan, req, dict);
         }
         let rec = &req.recorder;
@@ -1006,7 +1006,7 @@ mod tests {
         let g = iri_dataset();
         let serve = serve_engine(&g, 8);
         let plan = plan_of(&g, "SELECT * WHERE { ?a <urn:p:0> ?b }");
-        let req = ExecRequest::new().fault(FaultSpec::Custom {
+        let req = ExecRequest::new().fault(FaultSpec {
             plan: FaultPlan::none(),
             policy: RetryPolicy::default(),
             replicas: 0,
@@ -1024,7 +1024,7 @@ mod tests {
     fn chaos_requests_pass_through_uncached_in_lockstep() {
         let g = dataset();
         let query = path_query();
-        let custom = || FaultSpec::Custom {
+        let custom = || FaultSpec {
             plan: FaultPlan {
                 scripted: vec![ScriptedFault {
                     fragment: Some(0),

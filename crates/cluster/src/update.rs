@@ -547,7 +547,9 @@ mod tests {
     use crate::network::NetworkModel;
     use mpc_core::{MpcConfig, MpcPartitioner, Partitioner};
     use mpc_rdf::GraphBuilder;
-    use mpc_sparql::{evaluate, LocalStore, QLabel, QNode, Query, TriplePattern};
+    use mpc_sparql::{
+        evaluate, Bindings, LocalStore, QLabel, QNode, Query, ResolvedPlan, TriplePattern,
+    };
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(VertexId(s), mpc_rdf::PropertyId(p), VertexId(o))
@@ -590,6 +592,16 @@ mod tests {
         )
     }
 
+    /// A fault-free run of the bare BGP `q` through the one entry point
+    /// (a BGP has no FILTER to read a dictionary).
+    fn rows_of(eng: &DistributedEngine, q: &Query) -> Bindings {
+        let plan = ResolvedPlan::from_bgp(q.clone());
+        eng.run_plan(&plan, &ExecRequest::new(), &Dictionary::default())
+            .unwrap()
+            .bindings
+            .rows
+    }
+
     #[test]
     fn commit_requires_enable_updates_and_radius_one() {
         let g = raw_graph();
@@ -624,9 +636,8 @@ mod tests {
         assert_eq!(live_g.vertex_count(), 11);
         for p in [0, 1] {
             let q = one_pattern_query(p);
-            let req = ExecRequest::new();
-            let mut a = eng.run(&q, &req).unwrap().bindings.rows;
-            let mut b = fresh.run(&q, &req).unwrap().bindings.rows;
+            let mut a = rows_of(&eng, &q);
+            let mut b = rows_of(&fresh, &q);
             a.rows.sort_unstable();
             b.rows.sort_unstable();
             assert_eq!(a.rows, b.rows, "committed vs rebuilt, property {p}");
@@ -668,9 +679,8 @@ mod tests {
         assert_eq!(live_g.dictionary().vertex_count(), live_g.vertex_count());
         let pid = dict.property_id("urn:p:fresh").unwrap();
         let q = one_pattern_query(pid.0);
-        let req = ExecRequest::new();
-        let a = eng.run(&q, &req).unwrap().bindings.rows;
-        let b2 = fresh.run(&q, &req).unwrap().bindings.rows;
+        let a = rows_of(&eng, &q);
+        let b2 = rows_of(&fresh, &q);
         assert_eq!(a.rows, b2.rows);
         assert_eq!(a.rows.len(), 1);
     }
@@ -768,7 +778,7 @@ mod tests {
         eng.compact_sites();
         assert!(eng.sites.iter().all(|s| !s.store.is_dirty()));
         let q = one_pattern_query(1);
-        let rows = eng.run(&q, &ExecRequest::new()).unwrap().bindings.rows;
+        let rows = rows_of(&eng, &q);
         let (lg, _) = eng.live_dataset().unwrap();
         let mut local = evaluate(&q, &LocalStore::from_graph(&lg)).rows;
         let mut got = rows.rows;

@@ -11,6 +11,7 @@ use mpc::core::{
     MinEdgeCutPartitioner, MpcConfig, MpcPartitioner, Partitioner, SubjectHashPartitioner,
 };
 use mpc::datagen::lubm::{self, LubmConfig};
+use mpc::sparql::ResolvedPlan;
 
 fn main() {
     const K: usize = 8;
@@ -53,9 +54,14 @@ fn main() {
     for nq in dataset.benchmark_queries() {
         let shape = if nq.query.is_star() { "star" } else { "non-star" };
         let mut row = format!("{:<6} {:<9}", nq.name, shape);
+        let plan = ResolvedPlan::from_bgp(nq.query.clone());
         for (_, mode, engine) in &engines {
             let stats = engine
-                .run(&nq.query, &ExecRequest::new().mode(*mode))
+                .run_plan(
+                    &plan,
+                    &ExecRequest::new().mode(*mode),
+                    dataset.graph.dictionary(),
+                )
                 .expect("no fault layer in play")
                 .stats;
             let marker = if stats.independent { "" } else { "*" };

@@ -12,7 +12,7 @@
 use mpc::cluster::{partial_evaluate, DistributedEngine, ExecRequest, NetworkModel, Site};
 use mpc::core::{MpcConfig, MpcPartitioner, Partitioner, SubjectHashPartitioner};
 use mpc::datagen::lubm::{self, LubmConfig};
-use mpc::sparql::{evaluate, LocalStore};
+use mpc::sparql::{evaluate, LocalStore, ResolvedPlan};
 
 fn main() {
     let dataset = lubm::generate(&LubmConfig {
@@ -50,8 +50,9 @@ fn main() {
         assert_eq!(result, reference, "partial evaluation must be exact");
 
         let engine = DistributedEngine::build(&dataset.graph, &partitioning, NetworkModel::free());
+        let plan = ResolvedPlan::from_bgp(lq9.query.clone());
         let (r2, estats) = engine
-            .run(&lq9.query, &ExecRequest::new())
+            .run_plan(&plan, &ExecRequest::new(), dataset.graph.dictionary())
             .expect("no fault layer in play")
             .into_parts();
         assert_eq!(r2.rows, reference, "decomposition path must be exact");

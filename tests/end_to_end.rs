@@ -10,7 +10,7 @@ use mpc::datagen::lubm::{self, LubmConfig};
 use mpc::datagen::realistic::{generate as gen_real, RealisticConfig};
 use mpc::datagen::watdiv::{self, WatdivConfig};
 use mpc::datagen::{QuerySampler, ShapeMix};
-use mpc::sparql::{evaluate, LocalStore};
+use mpc::sparql::{evaluate, LocalStore, ResolvedPlan};
 
 const K: usize = 4;
 
@@ -40,8 +40,9 @@ fn lubm_benchmark_queries_match_reference_on_all_engines() {
         let engine = DistributedEngine::build(&d.graph, part, NetworkModel::free());
         for nq in d.benchmark_queries() {
             let expected = evaluate(&nq.query, &store);
+            let plan = ResolvedPlan::from_bgp(nq.query.clone());
             let result = engine
-                .run(&nq.query, &ExecRequest::new().mode(*mode))
+                .run_plan(&plan, &ExecRequest::new().mode(*mode), d.graph.dictionary())
                 .unwrap()
                 .bindings
                 .rows;
@@ -106,7 +107,12 @@ fn watdiv_log_sample_matches_reference() {
     let vp = VpEngine::build(&d.graph, &ep, NetworkModel::free());
     for (i, q) in log.iter().enumerate() {
         let expected = evaluate(q, &store);
-        let r1 = engine.run(q, &ExecRequest::new()).unwrap().bindings.rows;
+        let plan = ResolvedPlan::from_bgp(q.clone());
+        let r1 = engine
+            .run_plan(&plan, &ExecRequest::new(), d.graph.dictionary())
+            .unwrap()
+            .bindings
+            .rows;
         assert_eq!(r1, expected, "MPC on log query {i}");
         let (r2, _) = vp.execute(q);
         assert_eq!(r2, expected, "VP on log query {i}");
@@ -141,7 +147,12 @@ fn realistic_graph_round_trip() {
     let mut sampler = QuerySampler::new(&g, 123);
     for q in sampler.sample_log(30, &ShapeMix::dbpedia_like()) {
         let expected = evaluate(&q, &store);
-        let result = engine.run(&q, &ExecRequest::new()).unwrap().bindings.rows;
+        let plan = ResolvedPlan::from_bgp(q.clone());
+        let result = engine
+            .run_plan(&plan, &ExecRequest::new(), g.dictionary())
+            .unwrap()
+            .bindings
+            .rows;
         assert_eq!(result, expected);
     }
 }

@@ -8,7 +8,7 @@ use mpc::cluster::{DistributedEngine, ExecRequest, NetworkModel};
 use mpc::core::{IncrementalPartitioning, MpcConfig, MpcPartitioner, Partitioner};
 use mpc::datagen::lubm::{self, prop, LubmConfig};
 use mpc::rdf::{PropertyId, RdfGraph, Triple, VertexId};
-use mpc::sparql::{evaluate, LocalStore, QLabel, QNode, Query, TriplePattern};
+use mpc::sparql::{evaluate, LocalStore, QLabel, QNode, Query, ResolvedPlan, TriplePattern};
 
 #[test]
 fn grow_lubm_and_requery() {
@@ -74,8 +74,9 @@ fn grow_lubm_and_requery() {
         ],
         vec!["student".into()],
     );
+    let plan = ResolvedPlan::from_bgp(query.clone());
     let (result, stats) = engine
-        .run(&query, &ExecRequest::new())
+        .run_plan(&plan, &ExecRequest::new(), grown.dictionary())
         .unwrap()
         .into_parts();
     let result = result.rows;

@@ -10,7 +10,7 @@ use mpc::cluster::{
 };
 use mpc::core::Partitioning;
 use mpc::rdf::{GraphBuilder, PartitionId, RdfGraph};
-use mpc::sparql::{evaluate, parse, LocalStore, Query};
+use mpc::sparql::{evaluate, parse, LocalStore, Query, ResolvedPlan};
 
 /// Builds the Fig. 2 graph. Vertices 001–010 mirror the paper's ids;
 /// properties: starring, residence, chronology, spouse, foundingDate
@@ -190,7 +190,12 @@ fn all_example_queries_execute_correctly_on_the_fig2_cluster() {
     for text in texts {
         let q = resolve(&g, text);
         let expected = evaluate(&q, &store);
-        let result = engine.run(&q, &ExecRequest::new()).unwrap().bindings.rows;
+        let plan = ResolvedPlan::from_bgp(q.clone());
+        let result = engine
+            .run_plan(&plan, &ExecRequest::new(), g.dictionary())
+            .unwrap()
+            .bindings
+            .rows;
         assert_eq!(result, expected, "query: {text}");
     }
 }

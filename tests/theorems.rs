@@ -7,7 +7,7 @@ use mpc::cluster::{classify, CrossingSet, DistributedEngine, ExecRequest, IeqCla
 use mpc::core::{MpcConfig, MpcPartitioner, Partitioner};
 use mpc::dsu::DisjointSetForest;
 use mpc::rdf::{PropertyId, RdfGraph, Triple, VertexId};
-use mpc::sparql::{evaluate, LocalStore, QLabel, QNode, Query, TriplePattern};
+use mpc::sparql::{evaluate, LocalStore, QLabel, QNode, Query, ResolvedPlan, TriplePattern};
 use proptest::prelude::*;
 
 fn graph_strategy() -> impl Strategy<Value = RdfGraph> {
@@ -69,7 +69,8 @@ proptest! {
         let crossing = CrossingSet(g.property_ids().map(|p| part.is_crossing_property(p)).collect());
         prop_assert_eq!(classify(&query, &crossing), IeqClass::Internal);
         let engine = DistributedEngine::build(&g, &part, NetworkModel::free());
-        let outcome = engine.run(&query, &ExecRequest::new()).unwrap();
+        let plan = ResolvedPlan::from_bgp(query.clone());
+        let outcome = engine.run_plan(&plan, &ExecRequest::new(), g.dictionary()).unwrap();
         prop_assert!(outcome.stats.independent);
         prop_assert_eq!(outcome.bindings.rows, evaluate(&query, &LocalStore::from_graph(&g)));
     }
@@ -106,7 +107,8 @@ proptest! {
             matches!(class, IeqClass::Internal | IeqClass::TypeI | IeqClass::TypeII),
             "star classified {:?}", class
         );
-        let outcome = engine.run(&query, &ExecRequest::new()).unwrap();
+        let plan = ResolvedPlan::from_bgp(query.clone());
+        let outcome = engine.run_plan(&plan, &ExecRequest::new(), g.dictionary()).unwrap();
         prop_assert!(outcome.stats.independent);
         prop_assert_eq!(outcome.bindings.rows, evaluate(&query, &LocalStore::from_graph(&g)));
     }

@@ -80,8 +80,9 @@ fn weighted_mpc_queries_still_classify_and_execute() {
     let store = mpc::sparql::LocalStore::from_graph(&g);
     for q in &log {
         let _ = classify(q, &crossing);
+        let plan = mpc::sparql::ResolvedPlan::from_bgp(q.clone());
         let result = engine
-            .run(q, &mpc::cluster::ExecRequest::new())
+            .run_plan(&plan, &mpc::cluster::ExecRequest::new(), g.dictionary())
             .unwrap()
             .bindings
             .rows;
