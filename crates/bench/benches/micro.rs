@@ -22,6 +22,7 @@ use mpc_datagen::{QuerySampler, Shape};
 use mpc_dsu::DisjointSetForest;
 use mpc_metis::bisect::bisect;
 use mpc_metis::{fm_refine, partition, MetisConfig, WeightedGraph};
+use mpc_rdf::{Dictionary, Term, VertexId};
 use mpc_sparql::{
     evaluate, evaluate_observed, evaluate_with, static_order, LocalStore, MatchStats,
 };
@@ -320,6 +321,52 @@ fn bench_end_to_end_partition(c: &mut Criterion) {
     group.finish();
 }
 
+/// The term dictionary at `lubm_cold`'s size: 124,309 `urn:v:N` IRIs,
+/// the names the benchmark's graphs give their vertices. Lookups run in
+/// batches of 1,000 (hits at a stride across the id space, misses on
+/// absent IRIs of the same shape).
+fn bench_dictionary(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rdf/dictionary");
+    let n = 124_309usize;
+    let terms: Vec<Term> = (0..n).map(|i| Term::iri(format!("urn:v:{i}"))).collect();
+    let intern_all = || {
+        let mut d = Dictionary::new();
+        for t in &terms {
+            d.intern_vertex(t);
+        }
+        d
+    };
+    group.bench_function("intern_124k", |b| {
+        b.iter(|| black_box(intern_all().vertex_count()))
+    });
+    let dict = intern_all();
+    let ids: Vec<usize> = (0..1000).map(|i| (i * 7919) % n).collect();
+    let misses: Vec<Term> = (0..1000).map(|i| Term::iri(format!("urn:w:{i}"))).collect();
+    group.bench_function("vertex_id_hit_x1000", |b| {
+        b.iter(|| {
+            ids.iter()
+                .filter(|&&i| dict.vertex_id(&terms[i]).is_some())
+                .count()
+        })
+    });
+    group.bench_function("vertex_id_miss_x1000", |b| {
+        b.iter(|| {
+            misses
+                .iter()
+                .filter(|t| dict.vertex_id(t).is_some())
+                .count()
+        })
+    });
+    group.bench_function("vertex_term_x1000", |b| {
+        b.iter(|| {
+            for &i in &ids {
+                black_box(dict.vertex_term(VertexId(i as u32)));
+            }
+        })
+    });
+    group.finish();
+}
+
 /// Short measurement windows keep the full suite to a few minutes on a
 /// single-core machine while still giving stable medians.
 fn configured() -> Criterion {
@@ -340,6 +387,7 @@ criterion_group! {
         bench_obs_overhead,
         bench_planning,
         bench_distributed,
-        bench_end_to_end_partition
+        bench_end_to_end_partition,
+        bench_dictionary
 }
 criterion_main!(benches);

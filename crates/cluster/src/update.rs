@@ -231,10 +231,11 @@ pub struct CommitReport {
     pub generation: Option<u64>,
 }
 
-/// The engine's mutable world: the dictionary (growing with term-form
-/// inserts), the live triple multiset (the exact content a rebuilt
-/// graph would hold), and the incremental partitioner that places new
-/// vertices and tracks exact per-property crossing counts.
+/// The engine's mutable world: the dictionary (a delta over the graph's
+/// shared one, growing with term-form inserts), the live triple
+/// multiset (the exact content a rebuilt graph would hold), and the
+/// incremental partitioner that places new vertices and tracks exact
+/// per-property crossing counts.
 #[derive(Clone, Debug)]
 pub(crate) struct LiveState {
     pub(crate) dict: Dictionary,
@@ -243,8 +244,10 @@ pub(crate) struct LiveState {
 }
 
 impl DistributedEngine {
-    /// Arms the live-update path: captures the dictionary, the triple
-    /// multiset, and an [`IncrementalPartitioning`] seeded from
+    /// Arms the live-update path: layers a dictionary over the graph's
+    /// shared one ([`Dictionary::layered`]; nothing is copied, now or at
+    /// any commit), captures the triple multiset, and seeds an
+    /// [`IncrementalPartitioning`] from
     /// `partitioning` (with balance slack `epsilon` for placing new
     /// vertices). Must be called with the same graph + partitioning the
     /// engine was built from. Fails on engines with replication radius
@@ -264,7 +267,7 @@ impl DistributedEngine {
             "partitioning must match the engine's site count"
         );
         self.live = Some(Box::new(LiveState {
-            dict: g.dictionary().clone(),
+            dict: Dictionary::layered(g.shared_dictionary()),
             triples: g.triples().to_vec(),
             inc: IncrementalPartitioning::from_partitioning(g, partitioning, epsilon),
         }));
@@ -382,7 +385,7 @@ fn validate(live: &LiveState, batch: &UpdateBatch) -> Result<(), CommitError> {
         }
     }
     let mut next = narrow::u32_from(live.inc.vertex_count());
-    let mut pending: FxHashSet<String> = FxHashSet::default();
+    let mut pending: FxHashSet<&Term> = FxHashSet::default();
     for op in &batch.inserts {
         match op {
             UpdateOp::Ids(t) => {
@@ -403,9 +406,7 @@ fn validate(live: &LiveState, batch: &UpdateBatch) -> Result<(), CommitError> {
                     return Err(CommitError::NoDictionary);
                 }
                 for term in [s, o] {
-                    let key = term.dictionary_key();
-                    if live.dict.vertex_id(term).is_none() && !pending.contains(&key) {
-                        pending.insert(key);
+                    if live.dict.vertex_id(term).is_none() && pending.insert(term) {
                         next += 1;
                     }
                 }
@@ -799,5 +800,159 @@ mod tests {
         });
         assert!(UpdateBatch::new().is_empty());
         assert_eq!(UpdateBatch::new().len(), 0);
+    }
+
+    #[test]
+    fn the_live_dictionary_shares_the_graph_dictionary_and_never_copies_it() {
+        use std::sync::Arc;
+        let mut b = GraphBuilder::new();
+        for i in 0..8 {
+            b.add_iris(
+                &format!("urn:v:{i}"),
+                "urn:p:0",
+                &format!("urn:v:{}", (i + 1) % 8),
+            );
+        }
+        let g = b.build();
+        let before = Arc::strong_count(&g.shared_dictionary());
+        let mut eng = live_engine(&g, 2);
+        let armed = Arc::strong_count(&g.shared_dictionary());
+        assert!(armed > before, "arming shares the graph's dictionary");
+
+        let sizes = |d: &Dictionary| (d.vertex_count(), d.property_count());
+        let (vc, pc) = sizes(g.dictionary());
+        let mut batch = UpdateBatch::new();
+        batch
+            .insert_terms(
+                Term::iri("urn:v:new"),
+                "urn:p:fresh",
+                Term::lang_literal("x", "en"),
+            )
+            .insert_terms(Term::iri("urn:v:0"), "urn:p:0", Term::iri("urn:v:new"));
+        let report = eng.commit(&batch, &Recorder::disabled()).unwrap();
+        assert_eq!((report.new_vertices, report.new_properties), (2, 1));
+        let committed = Arc::strong_count(&g.shared_dictionary());
+        assert_eq!(committed, armed, "a commit copies nothing");
+        let live_base = eng.dictionary().unwrap().base().unwrap();
+        assert!(Arc::ptr_eq(live_base, &g.shared_dictionary()));
+        assert_eq!(
+            sizes(g.dictionary()),
+            (vc, pc),
+            "the caller's dictionary is unchanged"
+        );
+        assert_eq!(g.dictionary().vertex_id(&Term::iri("urn:v:new")), None);
+        assert_eq!(g.dictionary().property_id("urn:p:fresh"), None);
+
+        // Old and new terms resolve to the ids the rebuilt graph gives them.
+        let dict = eng.dictionary().unwrap();
+        let (live_g, live_p) = eng.live_dataset().unwrap();
+        assert_eq!(live_g.vertex_count(), vc + 2);
+        for (id, term) in live_g.dictionary().vertices() {
+            assert_eq!(dict.vertex_id(&term.to_term()), Some(id));
+        }
+        for (id, iri) in live_g.dictionary().properties() {
+            assert_eq!(dict.property_id(iri), Some(id));
+        }
+
+        // Arming over the layered dictionary yields one layer over the
+        // same base.
+        let mut again = DistributedEngine::build(&live_g, &live_p, NetworkModel::free());
+        again.enable_updates(&live_g, &live_p, 0.1).unwrap();
+        let base = again.dictionary().unwrap().base().unwrap();
+        assert!(Arc::ptr_eq(base, &g.shared_dictionary()));
+        assert!(base.base().is_none());
+        let relive = again.dictionary().unwrap();
+        assert_eq!(relive.vertex_id(&Term::iri("urn:v:new")), Some(VertexId(8)));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::network::NetworkModel;
+    use mpc_core::{MpcConfig, MpcPartitioner, Partitioner};
+    use mpc_rdf::{GraphBuilder, TermRef};
+    use proptest::prelude::*;
+
+    /// Texts shared by every term kind: the old in-band separators, the
+    /// empty string, and a text that is also a language tag and a
+    /// datatype.
+    const TEXTS: [&str; 8] = [
+        "", "x", "en", "\u{1}", "\u{2}", "x\u{1}en", "x\u{2}en", "urn:v:0",
+    ];
+
+    fn term_strategy() -> impl Strategy<Value = Term> {
+        (0usize..5, 0..TEXTS.len(), 0..TEXTS.len()).prop_map(|(kind, a, b)| {
+            let (a, b) = (TEXTS[a], TEXTS[b]);
+            match kind {
+                0 => Term::iri(a),
+                1 => Term::blank(a),
+                2 => Term::literal(a),
+                3 => Term::typed_literal(a, b),
+                _ => Term::lang_literal(a, b),
+            }
+        })
+    }
+
+    fn distinct(terms: &[Term]) -> usize {
+        terms.iter().collect::<FxHashSet<_>>().len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// intern → id → view → owned term is the identity on the graph's
+        /// flat dictionary and on the engine's layered one after a commit
+        /// interned more terms; sorting views orders them as sorting the
+        /// terms does, and both print alike.
+        #[test]
+        fn terms_round_trip_flat_and_layered_across_a_commit(
+            base in prop::collection::vec(term_strategy(), 1..10),
+            delta in prop::collection::vec(term_strategy(), 1..10),
+        ) {
+            let hub = Term::iri("urn:hub");
+            let mut b = GraphBuilder::new();
+            for t in &base {
+                b.add(&hub, "urn:p:base", t);
+            }
+            let g = b.build();
+            let part = MpcPartitioner::new(MpcConfig::with_k(2)).partition(&g);
+            let mut eng = DistributedEngine::build(&g, &part, NetworkModel::free());
+            eng.enable_updates(&g, &part, 0.1).unwrap();
+            let mut batch = UpdateBatch::new();
+            for t in &delta {
+                batch.insert_terms(hub.clone(), "urn:p:delta", t.clone());
+            }
+            eng.commit(&batch, &Recorder::disabled()).unwrap();
+
+            let with_hub = |terms: &[Term]| {
+                let mut all = vec![hub.clone()];
+                all.extend_from_slice(terms);
+                all
+            };
+            let flat = g.dictionary();
+            let live = eng.dictionary().unwrap();
+            let everything: Vec<Term> = with_hub(&[base.clone(), delta.clone()].concat());
+            for (dict, terms) in [(flat, with_hub(&base)), (live, everything.clone())] {
+                prop_assert_eq!(dict.vertex_count(), distinct(&terms));
+                for t in &terms {
+                    let id = dict.vertex_id(t);
+                    prop_assert!(id.is_some(), "{} not interned", t);
+                    let view = dict.vertex_term(id.unwrap());
+                    prop_assert_eq!(view, t.view());
+                    prop_assert_eq!(view.to_term(), t.clone());
+                    prop_assert_eq!(view.to_string(), t.to_string());
+                }
+            }
+
+            let mut views: Vec<TermRef<'_>> = everything
+                .iter()
+                .map(|t| live.vertex_term(live.vertex_id(t).unwrap()))
+                .collect();
+            views.sort();
+            let mut sorted = everything.clone();
+            sorted.sort();
+            prop_assert_eq!(views.iter().map(|v| v.to_term()).collect::<Vec<_>>(), sorted);
+        }
     }
 }

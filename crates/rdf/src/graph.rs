@@ -4,6 +4,7 @@ use crate::dictionary::Dictionary;
 use crate::ids::{PropertyId, VertexId};
 use crate::triple::Triple;
 use crate::narrow;
+use std::sync::Arc;
 
 /// An RDF graph `G = {V, E, L, f}` (Definition 3.1).
 ///
@@ -22,9 +23,13 @@ use crate::narrow;
 /// the large synthetic generators where materializing IRIs for hundreds of
 /// millions of edges would only burn memory). A raw graph has an empty
 /// [`Dictionary`].
+///
+/// The dictionary sits behind an `Arc`, so cloning a graph or handing
+/// its dictionary to a server or a live-update layer
+/// ([`RdfGraph::shared_dictionary`]) never copies the terms.
 #[derive(Clone, Debug)]
 pub struct RdfGraph {
-    dict: Dictionary,
+    dict: Arc<Dictionary>,
     triples: Vec<Triple>,
     vertex_count: usize,
     property_count: usize,
@@ -41,18 +46,18 @@ impl RdfGraph {
     /// Panics if any triple references a vertex `>= vertex_count` or a
     /// property `>= property_count`.
     pub fn from_raw(vertex_count: usize, property_count: usize, triples: Vec<Triple>) -> Self {
-        Self::assemble(Dictionary::new(), vertex_count, property_count, triples)
+        Self::assemble(Arc::default(), vertex_count, property_count, triples)
     }
 
     /// Builds a graph from an interning dictionary plus its triples.
     pub fn from_dictionary(dict: Dictionary, triples: Vec<Triple>) -> Self {
         let vc = dict.vertex_count();
         let pc = dict.property_count();
-        Self::assemble(dict, vc, pc, triples)
+        Self::assemble(Arc::new(dict), vc, pc, triples)
     }
 
     fn assemble(
-        dict: Dictionary,
+        dict: Arc<Dictionary>,
         vertex_count: usize,
         property_count: usize,
         triples: Vec<Triple>,
@@ -125,6 +130,12 @@ impl RdfGraph {
     #[inline]
     pub fn dictionary(&self) -> &Dictionary {
         &self.dict
+    }
+
+    /// The interning dictionary, shared rather than copied.
+    #[inline]
+    pub fn shared_dictionary(&self) -> Arc<Dictionary> {
+        Arc::clone(&self.dict)
     }
 
     /// Iterator over all property ids.

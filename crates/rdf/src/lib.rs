@@ -2,9 +2,11 @@
 //!
 //! This crate provides everything below the partitioning layer:
 //!
-//! * [`Term`] — RDF terms (IRIs, literals, blank nodes),
+//! * [`Term`] — RDF terms (IRIs, literals, blank nodes), and [`TermRef`],
+//!   the borrowed view a [`Dictionary`] hands out,
 //! * [`Dictionary`] — string interning so the rest of the system works on
-//!   compact [`VertexId`] / [`PropertyId`] integers,
+//!   compact [`VertexId`] / [`PropertyId`] integers; one arena per id
+//!   space, shareable and layerable for live updates,
 //! * [`Triple`] and [`RdfGraph`] — a dictionary-encoded labeled multigraph
 //!   matching Definition 3.1 of the paper (`G = {V, E, L, f}`),
 //! * [`GraphBuilder`] — incremental construction from triples or terms,
@@ -32,5 +34,5 @@ pub use dictionary::Dictionary;
 pub use graph::RdfGraph;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{PartitionId, PropertyId, VertexId};
-pub use term::Term;
+pub use term::{Term, TermRef};
 pub use triple::Triple;

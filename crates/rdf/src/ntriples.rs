@@ -308,6 +308,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::TermRef;
 
     #[test]
     fn parses_basic_triples() {
@@ -340,10 +341,34 @@ mod tests {
         let dict = g.dictionary();
         let obj = dict.vertex_term(g.triples()[0].o);
         match obj {
-            Term::Literal { lexical, .. } => {
+            TermRef::Literal { lexical, .. } => {
                 assert_eq!(lexical, "quote:\" slash:\\ nl:\n uni:A");
             }
             other => panic!("expected literal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn separator_characters_never_merge_literal_flavours() {
+        // `\u0001` / `\u0002` were once the in-band separators of the
+        // dictionary key, so each pair below interned as one vertex.
+        let g = parse_str(
+            "<s> <p> \"a\\u0001b\" .\n<s> <p> \"a\"^^<b> .\n\
+             <s> <p> \"x\\u0002en\" .\n<s> <p> \"x\"@en .\n",
+        )
+        .unwrap();
+        let dict = g.dictionary();
+        let objects: Vec<_> = g.triples().iter().map(|t| t.o).collect();
+        let expected = [
+            Term::literal("a\u{1}b"),
+            Term::typed_literal("a", "b"),
+            Term::literal("x\u{2}en"),
+            Term::lang_literal("x", "en"),
+        ];
+        assert_eq!(g.vertex_count(), 5, "the subject and four distinct objects");
+        for (o, term) in objects.iter().zip(&expected) {
+            assert_eq!(dict.vertex_term(*o).to_term(), *term);
+            assert_eq!(dict.vertex_id(term), Some(*o));
         }
     }
 

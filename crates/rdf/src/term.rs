@@ -78,23 +78,61 @@ impl Term {
         matches!(self, Term::Blank(_))
     }
 
-    /// A canonical single-string key for dictionary interning.
-    ///
-    /// The leading sigil disambiguates term kinds so `<x>` and `"x"` never
-    /// collide: `I` for IRIs, `B` for blank nodes, and the N-Triples
-    /// serialization for literals.
-    pub fn dictionary_key(&self) -> String {
+    /// The borrowed view of this term: what [`crate::Dictionary`] hands
+    /// out for interned terms, ordered, compared and printed exactly as
+    /// the term itself.
+    pub fn view(&self) -> TermRef<'_> {
         match self {
-            Term::Iri(i) => format!("I{i}"),
-            Term::Blank(b) => format!("B{b}"),
+            Term::Iri(i) => TermRef::Iri(i),
+            Term::Blank(b) => TermRef::Blank(b),
             Term::Literal {
                 lexical,
                 datatype,
                 language,
-            } => match (datatype, language) {
-                (Some(dt), _) => format!("L{lexical}\u{1}{dt}"),
-                (None, Some(lang)) => format!("L{lexical}\u{2}{lang}"),
-                (None, None) => format!("L{lexical}"),
+            } => TermRef::Literal {
+                lexical,
+                datatype: datatype.as_deref(),
+                language: language.as_deref(),
+            },
+        }
+    }
+}
+
+/// A borrowed RDF term: [`Term`] with `&str` parts, so it is `Copy` and
+/// costs no allocation. Its `Eq`, `Ord`, `Hash` and `Display` agree with
+/// [`Term`]'s (same variants and fields, in the same order), so sorting
+/// views orders terms the way sorting owned terms does.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum TermRef<'a> {
+    /// An IRI, without the surrounding angle brackets.
+    Iri(&'a str),
+    /// A literal: lexical form, optional datatype IRI, optional language tag.
+    Literal {
+        /// The lexical form, unescaped.
+        lexical: &'a str,
+        /// Datatype IRI, if any.
+        datatype: Option<&'a str>,
+        /// Language tag without the leading `@`, if any.
+        language: Option<&'a str>,
+    },
+    /// A blank node, without the leading `_:`.
+    Blank(&'a str),
+}
+
+impl TermRef<'_> {
+    /// The owned term.
+    pub fn to_term(self) -> Term {
+        match self {
+            TermRef::Iri(i) => Term::Iri(i.to_owned()),
+            TermRef::Blank(b) => Term::Blank(b.to_owned()),
+            TermRef::Literal {
+                lexical,
+                datatype,
+                language,
+            } => Term::Literal {
+                lexical: lexical.to_owned(),
+                datatype: datatype.map(str::to_owned),
+                language: language.map(str::to_owned),
             },
         }
     }
@@ -103,10 +141,17 @@ impl Term {
 impl fmt::Display for Term {
     /// Formats the term in N-Triples syntax.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(i) => write!(f, "<{i}>"),
-            Term::Blank(b) => write!(f, "_:{b}"),
-            Term::Literal {
+        fmt::Display::fmt(&self.view(), f)
+    }
+}
+
+impl fmt::Display for TermRef<'_> {
+    /// Formats the term in N-Triples syntax.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TermRef::Iri(i) => write!(f, "<{i}>"),
+            TermRef::Blank(b) => write!(f, "_:{b}"),
+            TermRef::Literal {
                 lexical,
                 datatype,
                 language,
@@ -167,24 +212,50 @@ mod tests {
         );
     }
 
+    /// Interns `terms` into a fresh dictionary and asserts that no two
+    /// share a vertex id.
+    fn assert_distinct_dictionary_ids(terms: &[Term]) {
+        let mut d = crate::Dictionary::new();
+        let ids: Vec<_> = terms.iter().map(|t| d.intern_vertex(t)).collect();
+        for (i, a) in ids.iter().enumerate() {
+            for b in &ids[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
     #[test]
     fn dictionary_keys_disambiguate_kinds() {
-        let iri = Term::iri("x");
-        let lit = Term::literal("x");
-        let blank = Term::blank("x");
-        assert_ne!(iri.dictionary_key(), lit.dictionary_key());
-        assert_ne!(iri.dictionary_key(), blank.dictionary_key());
-        assert_ne!(lit.dictionary_key(), blank.dictionary_key());
+        assert_distinct_dictionary_ids(&[Term::iri("x"), Term::literal("x"), Term::blank("x")]);
     }
 
     #[test]
     fn dictionary_keys_disambiguate_literal_flavours() {
-        let plain = Term::literal("x");
-        let typed = Term::typed_literal("x", "dt");
-        let tagged = Term::lang_literal("x", "en");
-        assert_ne!(plain.dictionary_key(), typed.dictionary_key());
-        assert_ne!(plain.dictionary_key(), tagged.dictionary_key());
-        assert_ne!(typed.dictionary_key(), tagged.dictionary_key());
+        assert_distinct_dictionary_ids(&[
+            Term::literal("x"),
+            Term::typed_literal("x", "dt"),
+            Term::lang_literal("x", "en"),
+        ]);
+    }
+
+    #[test]
+    fn views_order_and_print_like_terms() {
+        let mut terms = vec![
+            Term::typed_literal("x", "dt"),
+            Term::blank("x"),
+            Term::lang_literal("x", "en"),
+            Term::literal("x"),
+            Term::iri("x"),
+        ];
+        let mut views: Vec<TermRef<'_>> = terms.iter().map(Term::view).collect();
+        views.sort();
+        let sorted_views: Vec<Term> = views.iter().map(|v| v.to_term()).collect();
+        terms.sort();
+        assert_eq!(sorted_views, terms);
+        for t in &terms {
+            assert_eq!(t.view().to_string(), t.to_string());
+            assert_eq!(t.view().to_term(), *t);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::graph::RdfGraph;
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use std::fmt;
 
 /// `rdf:type`, which the `a` keyword abbreviates.
@@ -552,9 +552,9 @@ pub fn to_string(graph: &RdfGraph, prefixes: &[(&str, &str)]) -> String {
         }
         format!("<{iri}>")
     };
-    let term_str = |t: &Term| -> String {
+    let term_str = |t: TermRef<'_>| -> String {
         match t {
-            Term::Iri(i) => compress(i),
+            TermRef::Iri(i) => compress(i),
             other => other.to_string(),
         }
     };

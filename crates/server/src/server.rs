@@ -26,12 +26,12 @@ use crate::queue::AdmissionQueue;
 use mpc_cluster::wire::encode_bindings;
 use mpc_cluster::{CommitOptions, RequestSpec, ServeEngine, ShardStats, UpdateBatch};
 use mpc_obs::Recorder;
-use mpc_rdf::RdfGraph;
+use mpc_rdf::{Dictionary, RdfGraph};
 use parking_lot::RwLock;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// How long a handler sleeps in its read loop before re-checking the
@@ -109,7 +109,10 @@ struct Job {
 }
 
 struct Shared {
-    graph: RdfGraph,
+    /// The bound graph's dictionary, shared with it: queries resolve
+    /// against it until updates are armed (the engine's live
+    /// dictionary then layers over this same one).
+    dict: Arc<Dictionary>,
     serve: RwLock<ServeEngine>,
     queue: AdmissionQueue<Job>,
     rec: Recorder,
@@ -138,7 +141,8 @@ impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an OS-assigned port) over a
     /// graph + serving engine. The engine's shard count should match
     /// the concurrency (`ServeEngine::with_shards`); metrics go to
-    /// `rec` under `server.*` (docs/OBSERVABILITY.md).
+    /// `rec` under `server.*` (docs/OBSERVABILITY.md). The server keeps
+    /// only the graph's dictionary, shared rather than copied.
     pub fn bind(
         addr: impl ToSocketAddrs,
         graph: RdfGraph,
@@ -151,7 +155,7 @@ impl Server {
         Ok(Server {
             listener,
             shared: Shared {
-                graph,
+                dict: graph.shared_dictionary(),
                 serve: RwLock::new(serve),
                 queue: AdmissionQueue::new(cfg.queue_depth),
                 rec,
@@ -310,10 +314,7 @@ fn run_query(sh: &Shared, q: &QueryFrame) -> Result<Vec<u8>, String> {
     // Constants absent from the dictionary resolve to an `Empty` leaf,
     // so a provably-empty query still flows through the normal serving
     // path and produces a RESULT frame with the query's own columns.
-    let dict = serve
-        .engine()
-        .dictionary()
-        .unwrap_or_else(|| sh.graph.dictionary());
+    let dict = serve.engine().dictionary().unwrap_or(&sh.dict);
     let plan = mpc_sparql::parse(&q.text)
         .map_err(|e| e.to_string())?
         .resolve(dict)

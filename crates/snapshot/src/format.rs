@@ -24,7 +24,9 @@
 
 use crate::SnapshotError;
 use mpc_core::Partitioning;
-use mpc_rdf::{Dictionary, FxHashSet, PartitionId, PropertyId, RdfGraph, Term, Triple, VertexId};
+use mpc_rdf::{
+    Dictionary, FxHashSet, PartitionId, PropertyId, RdfGraph, Term, TermRef, Triple, VertexId,
+};
 use mpc_rdf::narrow;
 use mpc_sparql::{LocalStore, StoreStats};
 
@@ -245,15 +247,15 @@ fn enc_dict(d: &Dictionary) -> Vec<u8> {
     w.u64(d.vertex_count() as u64);
     for (_, term) in d.vertices() {
         match term {
-            Term::Iri(i) => {
+            TermRef::Iri(i) => {
                 w.u8(0);
                 w.str(i);
             }
-            Term::Blank(b) => {
+            TermRef::Blank(b) => {
                 w.u8(1);
                 w.str(b);
             }
-            Term::Literal {
+            TermRef::Literal {
                 lexical,
                 datatype,
                 language,

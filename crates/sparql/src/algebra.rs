@@ -20,7 +20,7 @@ use crate::parser::{
     numeric_value, CompareOp, Filter, FilterOperand, PPattern, PTerm, QueryParseError,
 };
 use crate::query::{QLabel, QNode, Query, TriplePattern};
-use mpc_rdf::{narrow, Dictionary, FxHashMap, PropertyId, Term, VertexId};
+use mpc_rdf::{narrow, Dictionary, FxHashMap, PropertyId, Term, TermRef, VertexId};
 
 /// The sentinel value marking an unbound variable in a binding row.
 /// OPTIONAL and UNION produce rows that bind only a subset of their
@@ -494,8 +494,11 @@ fn cmp_values(a: u32, b: u32, is_prop: bool, dict: &Dictionary) -> std::cmp::Ord
         let ta = dict.vertex_term(VertexId(a));
         let tb = dict.vertex_term(VertexId(b));
         return match (numeric_value(ta), numeric_value(tb)) {
-            (Some(x), Some(y)) => x.total_cmp(&y).then_with(|| ta.cmp(tb)).then_with(|| a.cmp(&b)),
-            _ => ta.cmp(tb).then_with(|| a.cmp(&b)),
+            (Some(x), Some(y)) => x
+                .total_cmp(&y)
+                .then_with(|| ta.cmp(&tb))
+                .then_with(|| a.cmp(&b)),
+            _ => ta.cmp(&tb).then_with(|| a.cmp(&b)),
         };
     }
     a.cmp(&b)
@@ -632,7 +635,13 @@ impl ResolvedFilter {
     /// live in the same id space); the ordering operators compare
     /// numeric literal values. Unbound variables and type errors fail
     /// the filter, mirroring SPARQL's error-as-false semantics.
-    pub fn accepts(&self, row: &[u32], vars: &[u32], prop_vars: &[bool], dict: &Dictionary) -> bool {
+    pub fn accepts<'a>(
+        &'a self,
+        row: &[u32],
+        vars: &[u32],
+        prop_vars: &[bool],
+        dict: &'a Dictionary,
+    ) -> bool {
         #[derive(Clone)]
         enum Val<'a> {
             Vertex(u32),
@@ -667,13 +676,14 @@ impl ResolvedFilter {
         ) else {
             return false;
         };
-        let term_of = |v: &Val<'_>| -> Option<Term> {
-            match v {
-                Val::Vertex(i) => ((*i as usize) < dict.vertex_count())
-                    .then(|| dict.vertex_term(VertexId(*i)).clone()),
-                Val::Prop(i) => ((*i as usize) < dict.property_count())
-                    .then(|| Term::Iri(dict.property_iri(PropertyId(*i)).to_owned())),
-                Val::Absent(t) => Some((*t).clone()),
+        let term_of = |v: &Val<'a>| -> Option<TermRef<'a>> {
+            match *v {
+                Val::Vertex(i) => {
+                    ((i as usize) < dict.vertex_count()).then(|| dict.vertex_term(VertexId(i)))
+                }
+                Val::Prop(i) => ((i as usize) < dict.property_count())
+                    .then(|| TermRef::Iri(dict.property_iri(PropertyId(i)))),
+                Val::Absent(t) => Some(t.view()),
             }
         };
         match self.op {
@@ -699,8 +709,8 @@ impl ResolvedFilter {
             }
             ordering => {
                 let (Some(x), Some(y)) = (
-                    term_of(&a).as_ref().and_then(numeric_value),
-                    term_of(&b).as_ref().and_then(numeric_value),
+                    term_of(&a).and_then(numeric_value),
+                    term_of(&b).and_then(numeric_value),
                 ) else {
                     return false;
                 };

@@ -23,7 +23,7 @@
 //! [`ResolvedPlan`](crate::algebra::ResolvedPlan).
 
 use crate::algebra::Algebra;
-use mpc_rdf::{FxHashMap, Term};
+use mpc_rdf::{FxHashMap, Term, TermRef};
 use std::fmt;
 
 /// The rdf:type IRI that the keyword `a` abbreviates.
@@ -276,9 +276,9 @@ fn parse_ground_triple(
 }
 
 /// The numeric value of a literal term, if its lexical form parses.
-pub fn numeric_value(term: &Term) -> Option<f64> {
+pub fn numeric_value(term: TermRef<'_>) -> Option<f64> {
     match term {
-        Term::Literal { lexical, .. } => lexical.trim().parse::<f64>().ok(),
+        TermRef::Literal { lexical, .. } => lexical.trim().parse::<f64>().ok(),
         _ => None,
     }
 }
@@ -1098,10 +1098,10 @@ mod tests {
 
     #[test]
     fn numeric_value_parses_literals_only() {
-        assert_eq!(numeric_value(&Term::literal("42")), Some(42.0));
-        assert_eq!(numeric_value(&Term::typed_literal("-3.5", "dt")), Some(-3.5));
-        assert_eq!(numeric_value(&Term::literal("hello")), None);
-        assert_eq!(numeric_value(&Term::iri("42")), None);
+        assert_eq!(numeric_value(Term::literal("42").view()), Some(42.0));
+        assert_eq!(numeric_value(Term::typed_literal("-3.5", "dt").view()), Some(-3.5));
+        assert_eq!(numeric_value(Term::literal("hello").view()), None);
+        assert_eq!(numeric_value(Term::iri("42").view()), None);
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn fig2_partitioning(g: &RdfGraph) -> Partitioning {
         .map(|v| {
             let term = dict.vertex_term(mpc::rdf::VertexId(v));
             let iri = match term {
-                mpc::rdf::Term::Iri(i) => i.as_str(),
+                mpc::rdf::TermRef::Iri(i) => i,
                 _ => "",
             };
             let local = iri.rsplit('/').next().unwrap_or("");
