@@ -6,6 +6,36 @@ set -eu
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+
+echo "==> mpc-bench dispatcher (unknown name, malformed scale, idempotent output)"
+BENCH=./target/release/mpc-bench
+# An unknown experiment exits 2 and lists the valid names.
+status=0
+"$BENCH" nope > "$CI_TMP/bench.err" 2>&1 || status=$?
+[ "$status" -eq 2 ]
+grep -q '^  chaos_sweep ' "$CI_TMP/bench.err"
+# A malformed scale exits 2 before any experiment runs.
+status=0
+MPC_BENCH_SCALE=0,1 MPC_BENCH_OUT="$CI_TMP/bench" "$BENCH" table2 > "$CI_TMP/bench.err" 2>&1 \
+    || status=$?
+[ "$status" -eq 2 ]
+[ ! -e "$CI_TMP/bench" ]
+# Two runs into one directory: each text file holds exactly one run, and
+# the count-only outputs repeat byte for byte.
+for run in 1 2; do
+    for exp in table2 chaos_sweep; do
+        MPC_BENCH_SCALE=0.02 MPC_BENCH_OUT="$CI_TMP/bench" "$BENCH" "$exp" > /dev/null
+    done
+    cp -r "$CI_TMP/bench" "$CI_TMP/bench.$run"
+done
+for f in table2.txt chaos_sweep.txt chaos_sweep.json; do
+    cmp "$CI_TMP/bench.1/$f" "$CI_TMP/bench.2/$f"
+done
+[ "$(grep -c '^== ' "$CI_TMP/bench/table2.txt")" -eq 1 ]
+[ "$(grep -c '^== ' "$CI_TMP/bench/chaos_sweep.txt")" -eq 1 ]
+
 echo "==> examples (each runs once in release mode)"
 # Tier-1 compiles the examples but never executes them.
 for ex in examples/*.rs; do
@@ -33,8 +63,6 @@ echo "==> mpc analyze (workspace lint engine, gated on analyze-baseline.json)"
 cargo run -q --release -p mpc-analyze -- lint --json --baseline analyze-baseline.json
 
 echo "==> mpc partition --verify (invariant smoke on generated LUBM)"
-CI_TMP=$(mktemp -d)
-trap 'rm -rf "$CI_TMP"' EXIT
 MPC=./target/release/mpc
 "$MPC" generate --dataset lubm --scale 0.3 --seed 7 --out "$CI_TMP/lubm.nt"
 "$MPC" partition --input "$CI_TMP/lubm.nt" --out "$CI_TMP/lubm.parts" \
@@ -187,8 +215,11 @@ cmp "$CI_TMP/rebuild.digests" "$CI_TMP/fallback.digests"
 # Corrupt every generation: without raw inputs the load must fail with
 # a typed error and a nonzero exit — never serve garbage.
 corrupt_snapshot "$CI_TMP/store/gen-0001/snapshot.bin"
-! "$MPC" serve --load "$CI_TMP/store" \
-    --queries "$CI_TMP/workload.txt" --digest > "$CI_TMP/dead.out" 2>&1
+# (`! cmd` would not do: `set -e` ignores a pipeline that starts with `!`.)
+if "$MPC" serve --load "$CI_TMP/store" \
+    --queries "$CI_TMP/workload.txt" --digest > "$CI_TMP/dead.out" 2>&1; then
+    exit 1
+fi
 # With raw inputs present the same situation rebuilds — loudly — and
 # still produces the exact digests.
 "$MPC" serve --load "$CI_TMP/store" --input "$CI_TMP/lubm.nt" \

@@ -2,9 +2,10 @@
 //! a scaled analog, with its benchmark queries and/or query-log workload.
 //!
 //! Default scales target single-machine runtimes of minutes, not hours;
-//! set `MPC_BENCH_SCALE` (a float, default `1.0`) to shrink or grow every
-//! dataset proportionally — the experiment binaries honor it so quick
-//! smoke runs (`MPC_BENCH_SCALE=0.1`) and bigger sweeps use the same code.
+//! every bundle takes the scale factor `main` parses once from
+//! `MPC_BENCH_SCALE` (a positive float, default `1.0`) and shrinks or grows
+//! its dataset proportionally, so quick smoke runs (`MPC_BENCH_SCALE=0.1`)
+//! and bigger sweeps use the same code.
 
 use mpc_datagen::lubm::{self, LubmConfig};
 use mpc_datagen::real_queries::{bio2rdf_queries, yago2_queries};
@@ -27,23 +28,26 @@ pub struct DatasetBundle {
     pub query_log: Vec<Query>,
 }
 
-/// The global scale factor from `MPC_BENCH_SCALE` (default 1.0).
-pub fn scale_factor() -> f64 {
-    std::env::var("MPC_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|&f| f > 0.0)
-        .unwrap_or(1.0)
+/// The scale factor from the raw value of `MPC_BENCH_SCALE`: unset means
+/// 1.0, and anything else must parse as a finite float above zero.
+pub fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else { return Ok(1.0) };
+    match raw.parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => Ok(f),
+        _ => Err(format!(
+            "MPC_BENCH_SCALE={raw:?} is not a positive number (e.g. 0.1)"
+        )),
+    }
 }
 
 /// Number of log queries to sample (paper: 1000), scaled.
-pub fn log_size() -> usize {
-    narrow::usize_from_f64(1000.0 * scale_factor()).clamp(50, 5000)
+fn log_size(scale: f64) -> usize {
+    narrow::usize_from_f64(1000.0 * scale).clamp(50, 5000)
 }
 
 /// LUBM analog (default ≈ 20 universities ≈ 170k triples).
-pub fn lubm_bundle() -> DatasetBundle {
-    let universities = narrow::usize_from_f64(20.0 * scale_factor()).max(2);
+pub fn lubm_bundle(scale: f64) -> DatasetBundle {
+    let universities = narrow::usize_from_f64(20.0 * scale).max(2);
     let d = lubm::generate(&LubmConfig {
         universities,
         ..Default::default()
@@ -73,19 +77,19 @@ pub fn lubm_at(universities: usize) -> DatasetBundle {
 }
 
 /// WatDiv analog (default ≈ 4k users ≈ 120k triples) with a sampled log.
-pub fn watdiv_bundle() -> DatasetBundle {
-    let scale = narrow::usize_from_f64(4000.0 * scale_factor()).max(200);
-    watdiv_at(scale)
+pub fn watdiv_bundle(scale: f64) -> DatasetBundle {
+    let users = narrow::usize_from_f64(4000.0 * scale).max(200);
+    watdiv_at(users, scale)
 }
 
-/// WatDiv analog at an explicit user scale.
-pub fn watdiv_at(scale: usize) -> DatasetBundle {
+/// WatDiv analog at an explicit user count; `scale` sizes its log.
+pub fn watdiv_at(users: usize, scale: f64) -> DatasetBundle {
     let d = watdiv::generate(&WatdivConfig {
-        scale,
+        scale: users,
         ..Default::default()
     });
     let mut sampler = QuerySampler::new(&d.graph, 0x3a7d_5eed);
-    let query_log = sampler.sample_log(log_size(), &ShapeMix::watdiv_like());
+    let query_log = sampler.sample_log(log_size(scale), &ShapeMix::watdiv_like());
     DatasetBundle {
         name: "WatDiv",
         graph: d.graph,
@@ -95,8 +99,8 @@ pub fn watdiv_at(scale: usize) -> DatasetBundle {
 }
 
 /// YAGO2 analog with its four benchmark queries.
-pub fn yago2_bundle() -> DatasetBundle {
-    let graph = realistic::generate(&RealisticConfig::yago2_like().scaled(scale_factor()));
+pub fn yago2_bundle(scale: f64) -> DatasetBundle {
+    let graph = realistic::generate(&RealisticConfig::yago2_like().scaled(scale));
     let benchmark_queries = yago2_queries(&graph);
     DatasetBundle {
         name: "YAGO2",
@@ -107,8 +111,8 @@ pub fn yago2_bundle() -> DatasetBundle {
 }
 
 /// Bio2RDF analog with its five benchmark queries.
-pub fn bio2rdf_bundle() -> DatasetBundle {
-    let graph = realistic::generate(&RealisticConfig::bio2rdf_like().scaled(scale_factor()));
+pub fn bio2rdf_bundle(scale: f64) -> DatasetBundle {
+    let graph = realistic::generate(&RealisticConfig::bio2rdf_like().scaled(scale));
     let benchmark_queries = bio2rdf_queries(&graph);
     DatasetBundle {
         name: "Bio2RDF",
@@ -119,11 +123,11 @@ pub fn bio2rdf_bundle() -> DatasetBundle {
 }
 
 /// DBpedia analog with a sampled LSQ-style log.
-pub fn dbpedia_bundle() -> DatasetBundle {
-    let graph = realistic::generate(&RealisticConfig::dbpedia_like().scaled(scale_factor()));
+pub fn dbpedia_bundle(scale: f64) -> DatasetBundle {
+    let graph = realistic::generate(&RealisticConfig::dbpedia_like().scaled(scale));
     let mut sampler = QuerySampler::new(&graph, 0xdb9e_5eed);
     sampler.var_property_prob = 0.02;
-    let query_log = sampler.sample_log(log_size(), &ShapeMix::dbpedia_like());
+    let query_log = sampler.sample_log(log_size(scale), &ShapeMix::dbpedia_like());
     DatasetBundle {
         name: "DBpedia",
         graph,
@@ -133,10 +137,10 @@ pub fn dbpedia_bundle() -> DatasetBundle {
 }
 
 /// LGD analog with a sampled LSQ-style log.
-pub fn lgd_bundle() -> DatasetBundle {
-    let graph = realistic::generate(&RealisticConfig::lgd_like().scaled(scale_factor()));
+pub fn lgd_bundle(scale: f64) -> DatasetBundle {
+    let graph = realistic::generate(&RealisticConfig::lgd_like().scaled(scale));
     let mut sampler = QuerySampler::new(&graph, 0x16d0_5eed);
-    let query_log = sampler.sample_log(log_size(), &ShapeMix::lgd_like());
+    let query_log = sampler.sample_log(log_size(scale), &ShapeMix::lgd_like());
     DatasetBundle {
         name: "LGD",
         graph,
@@ -146,13 +150,36 @@ pub fn lgd_bundle() -> DatasetBundle {
 }
 
 /// All six datasets, in Table I order.
-pub fn all_bundles() -> Vec<DatasetBundle> {
+pub fn all_bundles(scale: f64) -> Vec<DatasetBundle> {
     vec![
-        lubm_bundle(),
-        watdiv_bundle(),
-        yago2_bundle(),
-        bio2rdf_bundle(),
-        dbpedia_bundle(),
-        lgd_bundle(),
+        lubm_bundle(scale),
+        watdiv_bundle(scale),
+        yago2_bundle(scale),
+        bio2rdf_bundle(scale),
+        dbpedia_bundle(scale),
+        lgd_bundle(scale),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn unset_means_one_and_positive_finite_scales_parse() {
+        assert_eq!(parse_scale(None), Ok(1.0));
+        assert_eq!(parse_scale(Some("0.1")), Ok(0.1));
+        assert_eq!(parse_scale(Some("2")), Ok(2.0));
+        assert_eq!(parse_scale(Some("5e-2")), Ok(0.05));
+    }
+
+    #[test]
+    fn malformed_scales_are_rejected() {
+        for raw in [
+            "0,1", "", " 0.1", "abc", "0", "-1", "-0.5", "inf", "NaN", "1e999",
+        ] {
+            let err = parse_scale(Some(raw)).expect_err(raw);
+            assert!(err.contains("MPC_BENCH_SCALE"), "{err}");
+        }
+    }
 }

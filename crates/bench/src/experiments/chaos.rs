@@ -12,12 +12,13 @@
 
 use crate::datasets::lubm_bundle;
 use crate::harness::{partition_with, Method};
-use crate::report::{emit, fresh, pct, write_json, Table};
+use crate::report::{emit, pct, write_json, Table};
 use mpc_cluster::{
     DistributedEngine, ExecRequest, FaultPlan, FaultSpec, NetworkModel, RetryPolicy,
 };
 use mpc_obs::Json;
 use mpc_sparql::ResolvedPlan;
+use std::io;
 
 /// Per-attempt rate for each fault kind (the total fault probability per
 /// attempt is five times this).
@@ -26,9 +27,8 @@ const SEED: u64 = 42;
 const REPLICAS: usize = 1;
 
 /// Runs the chaos sweep on LUBM under the MPC partitioning.
-pub fn run() {
-    fresh("chaos_sweep");
-    let bundle = lubm_bundle();
+pub fn run(scale: f64) -> io::Result<()> {
+    let bundle = lubm_bundle(scale);
     let part = partition_with(Method::Mpc, &bundle.graph).partitioning;
     let mut t = Table::new(&[
         "rate/kind",
@@ -118,12 +118,13 @@ pub fn run() {
         ("replicas", Json::UInt(REPLICAS as u64)),
         ("rates", Json::arr(json_rows)),
     ]);
-    let path = write_json("chaos_sweep", &json);
+    let path = write_json("chaos_sweep", &json)?;
     emit(
         "chaos_sweep",
         "Robustness — completeness vs per-kind fault rate (LUBM, MPC k=8, \
          graceful, 1 replica, seed 42)",
         &t.render(),
-    );
+    )?;
     println!("chaos sweep JSON: {}", path.display());
+    Ok(())
 }

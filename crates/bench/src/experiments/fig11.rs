@@ -16,8 +16,9 @@
 
 use crate::datasets::{lubm_bundle, yago2_bundle, DatasetBundle};
 use crate::harness::{build_engines, exec, partition_with, total_ms, Method};
-use crate::report::{emit, fresh, ms, Table};
+use crate::report::{emit, ms, Table};
 use mpc_cluster::{partial_evaluate, ExecMode, NetworkModel, Site};
+use std::io;
 
 fn keep(name: &str, only: Option<&[&str]>) -> bool {
     only.is_none_or(|f| f.contains(&name))
@@ -109,29 +110,29 @@ fn partial_table(bundle: &DatasetBundle, only: Option<&[&str]>) -> Table {
 }
 
 /// Regenerates Fig. 11.
-pub fn run() {
-    fresh("fig11");
+pub fn run(scale: f64) -> io::Result<()> {
     let lubm_nonstar = ["LQ2", "LQ7", "LQ8", "LQ9", "LQ12"];
-    let (name, t, bundle) = planning_table(lubm_bundle(), Some(&lubm_nonstar));
+    let (name, t, bundle) = planning_table(lubm_bundle(scale), Some(&lubm_nonstar));
     emit(
         "fig11",
         &format!("Fig. 11 (a) — partitioning-agnostic planning, non-star queries on {name}"),
         &t.render(),
-    );
+    )?;
     emit(
         "fig11",
         &format!("Fig. 11 (b) — exact partial evaluation + assembly on {name}"),
         &partial_table(&bundle, Some(&lubm_nonstar)).render(),
-    );
-    let (name, t, bundle) = planning_table(yago2_bundle(), None);
+    )?;
+    let (name, t, bundle) = planning_table(yago2_bundle(scale), None);
     emit(
         "fig11",
         &format!("Fig. 11 (a) — partitioning-agnostic planning on {name}"),
         &t.render(),
-    );
+    )?;
     emit(
         "fig11",
         &format!("Fig. 11 (b) — exact partial evaluation + assembly on {name}"),
         &partial_table(&bundle, None).render(),
-    );
+    )?;
+    Ok(())
 }

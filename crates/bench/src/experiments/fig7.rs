@@ -4,7 +4,8 @@
 
 use crate::datasets::{bio2rdf_bundle, lubm_bundle, yago2_bundle, DatasetBundle};
 use crate::harness::{build_engines, run as run_query, total_ms, Method};
-use crate::report::{emit, fresh, Table};
+use crate::report::{emit, Table};
+use std::io;
 
 fn compare_table(bundle: DatasetBundle) -> (String, Table) {
     let name = bundle.name.to_owned();
@@ -39,14 +40,18 @@ fn compare_table(bundle: DatasetBundle) -> (String, Table) {
 }
 
 /// Regenerates Fig. 7.
-pub fn run() {
-    fresh("fig7");
-    for bundle in [lubm_bundle(), yago2_bundle(), bio2rdf_bundle()] {
+pub fn run(scale: f64) -> io::Result<()> {
+    for bundle in [
+        lubm_bundle(scale),
+        yago2_bundle(scale),
+        bio2rdf_bundle(scale),
+    ] {
         let (name, t) = compare_table(bundle);
         emit(
             "fig7",
             &format!("Fig. 7 — benchmark query response times on {name} (k=8)"),
             &t.render(),
-        );
+        )?;
     }
+    Ok(())
 }

@@ -3,8 +3,9 @@
 
 use crate::datasets::{dbpedia_bundle, lgd_bundle, watdiv_bundle, DatasetBundle};
 use crate::harness::{build_engines, run as run_query, total_ms, Method};
-use crate::report::{emit, fresh, Table};
+use crate::report::{emit, Table};
 use mpc_cluster::FiveNumber;
+use std::io;
 
 fn summary_table(bundle: DatasetBundle) -> (String, Table) {
     let name = bundle.name.to_owned();
@@ -59,15 +60,19 @@ fn summary_table(bundle: DatasetBundle) -> (String, Table) {
 }
 
 /// Regenerates Fig. 8.
-pub fn run() {
-    fresh("fig8");
-    for bundle in [watdiv_bundle(), dbpedia_bundle(), lgd_bundle()] {
+pub fn run(scale: f64) -> io::Result<()> {
+    for bundle in [
+        watdiv_bundle(scale),
+        dbpedia_bundle(scale),
+        lgd_bundle(scale),
+    ] {
         let n = bundle.query_log.len();
         let (name, t) = summary_table(bundle);
         emit(
             "fig8",
             &format!("Fig. 8 — response-time distribution over {n} log queries on {name} (k=8)"),
             &t.render(),
-        );
+        )?;
     }
+    Ok(())
 }

@@ -4,14 +4,14 @@
 
 use crate::datasets::{dbpedia_bundle, lubm_bundle};
 use crate::harness::{partition_with, Method};
-use crate::report::{emit, fresh, pct, Table};
+use crate::report::{emit, pct, Table};
 use mpc_cluster::{is_khop_executable, CrossingSet, DistributedEngine, NetworkModel};
 use mpc_sparql::Query;
+use std::io;
 
 /// Runs the k-hop ablation on LUBM (benchmark queries) and the DBpedia
 /// analog (query log).
-pub fn run() {
-    fresh("ablation_khop");
+pub fn run(scale: f64) -> io::Result<()> {
     let mut t = Table::new(&[
         "Dataset",
         "radius",
@@ -19,7 +19,7 @@ pub fn run() {
         "localized",
         "queries",
     ]);
-    for bundle in [lubm_bundle(), dbpedia_bundle()] {
+    for bundle in [lubm_bundle(scale), dbpedia_bundle(scale)] {
         let part = partition_with(Method::Mpc, &bundle.graph).partitioning;
         let crossing = CrossingSet(
             bundle
@@ -60,5 +60,6 @@ pub fn run() {
         "ablation_khop",
         "Extension — k-hop replication: storage overhead vs localization (MPC, k=8)",
         &t.render(),
-    );
+    )?;
+    Ok(())
 }

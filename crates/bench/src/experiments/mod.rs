@@ -1,21 +1,16 @@
-//! One module per paper artifact; each exposes `run()` which prints the
-//! regenerated table/figure and appends it to `bench_results/`.
+//! One module per paper artifact; each exposes `run(scale)`, which prints
+//! the regenerated table or figure and appends it to `bench_results/`.
 
 pub mod chaos;
-pub mod cold_start;
 pub mod fig11;
-pub mod khop;
-pub mod par_scaling;
-pub mod semijoin;
 pub mod fig7;
 pub mod fig8;
+pub mod khop;
 pub mod runreport;
 pub mod scalability;
-pub mod serve_concurrent;
-pub mod serve_replay;
+pub mod semijoin;
 pub mod stages;
 pub mod table2;
-pub mod update_burst;
 pub mod table3;
 pub mod table6;
 pub mod table7;

@@ -3,23 +3,22 @@
 //! decade apart (scaled by `MPC_BENCH_SCALE`) and report the same offline
 //! (partition + load) and online (query response) series.
 
-use crate::datasets::{lubm_at, scale_factor, watdiv_at};
+use crate::datasets::{lubm_at, watdiv_at};
 use crate::harness::{build_engines, exec, partition_with, total_ms, Method};
-use crate::report::{emit, fresh, secs, Table};
+use crate::report::{emit, secs, Table};
 use mpc_cluster::{DistributedEngine, ExecMode, NetworkModel};
 use mpc_rdf::narrow;
+use std::io;
 
 /// Regenerates Figs. 9 and 10.
-pub fn run() {
-    fresh("fig9_10");
-    let f = scale_factor();
+pub fn run(scale: f64) -> io::Result<()> {
     let lubm_sizes: Vec<usize> = [4.0, 16.0, 64.0]
         .iter()
-        .map(|&u| narrow::usize_from_f64(u * f).max(2))
+        .map(|&u| narrow::usize_from_f64(u * scale).max(2))
         .collect();
     let watdiv_sizes: Vec<usize> = [1000.0, 4000.0, 16000.0]
         .iter()
-        .map(|&u| narrow::usize_from_f64(u * f).max(100))
+        .map(|&u| narrow::usize_from_f64(u * scale).max(100))
         .collect();
 
     // Fig. 9: offline scalability.
@@ -58,7 +57,7 @@ pub fn run() {
     }
 
     for &s in &watdiv_sizes {
-        let bundle = watdiv_at(s);
+        let bundle = watdiv_at(s, scale);
         let nq = bundle.query_log.len().min(200);
         let set = build_engines(bundle);
         let p = partition_with(Method::Mpc, &set.bundle.graph);
@@ -89,10 +88,11 @@ pub fn run() {
         "fig9_10",
         "Fig. 9 — offline scalability of MPC (k=8)",
         &offline.render(),
-    );
+    )?;
     emit(
         "fig9_10",
         "Fig. 10 — online scalability of MPC (k=8)",
         &online.render(),
-    );
+    )?;
+    Ok(())
 }

@@ -5,13 +5,13 @@
 
 use crate::datasets::lubm_bundle;
 use crate::harness::{exec, partition_with, total_ms, Method};
-use crate::report::{emit, fresh, Table};
+use crate::report::{emit, Table};
 use mpc_cluster::{DistributedEngine, ExecMode, NetworkModel};
+use std::io;
 
 /// Runs the semijoin ablation.
-pub fn run() {
-    fresh("ablation_semijoin");
-    let bundle = lubm_bundle();
+pub fn run(scale: f64) -> io::Result<()> {
+    let bundle = lubm_bundle(scale);
     let part = partition_with(Method::SubjectHash, &bundle.graph).partitioning;
     let plain = DistributedEngine::build(&bundle.graph, &part, NetworkModel::default());
     let mut reduced = DistributedEngine::build(&bundle.graph, &part, NetworkModel::default());
@@ -45,5 +45,6 @@ pub fn run() {
         "ablation_semijoin",
         "Extension — Bloom-semijoin reduction on decomposed LUBM queries (Subject_Hash, k=8)",
         &t.render(),
-    );
+    )?;
+    Ok(())
 }

@@ -6,8 +6,9 @@
 
 use crate::datasets::{bio2rdf_bundle, lubm_bundle, yago2_bundle, DatasetBundle};
 use crate::harness::{exec, partition_with, Method};
-use crate::report::{emit, fresh, ms, Table};
+use crate::report::{emit, ms, Table};
 use mpc_cluster::{DistributedEngine, ExecMode, NetworkModel};
+use std::io;
 
 fn stage_table(bundle: &DatasetBundle) -> Table {
     let part = partition_with(Method::Mpc, &bundle.graph);
@@ -29,24 +30,24 @@ fn stage_table(bundle: &DatasetBundle) -> Table {
 }
 
 /// Regenerates Tables IV (LUBM) and V (YAGO2 + Bio2RDF).
-pub fn run() {
-    fresh("table4_5");
-    let lubm = lubm_bundle();
+pub fn run(scale: f64) -> io::Result<()> {
+    let lubm = lubm_bundle(scale);
     emit(
         "table4_5",
         "Table IV — per-stage evaluation on LUBM (MPC, k=8)",
         &stage_table(&lubm).render(),
-    );
-    let yago = yago2_bundle();
+    )?;
+    let yago = yago2_bundle(scale);
     emit(
         "table4_5",
         "Table V (a) — per-stage evaluation on YAGO2 (MPC, k=8)",
         &stage_table(&yago).render(),
-    );
-    let bio = bio2rdf_bundle();
+    )?;
+    let bio = bio2rdf_bundle(scale);
     emit(
         "table4_5",
         "Table V (b) — per-stage evaluation on Bio2RDF (MPC, k=8)",
         &stage_table(&bio).render(),
-    );
+    )?;
+    Ok(())
 }

@@ -4,15 +4,15 @@
 
 use crate::datasets::all_bundles;
 use crate::harness::{partition_with, Method};
-use crate::report::{emit, fresh, Table};
+use crate::report::{emit, Table};
+use std::io;
 
 /// Regenerates Table II.
-pub fn run() {
-    fresh("table2");
+pub fn run(scale: f64) -> io::Result<()> {
     let mut t = Table::new(&[
         "Dataset", "Method", "|L|", "|L_cross|", "|E^c|", "imbalance",
     ]);
-    for bundle in all_bundles() {
+    for bundle in all_bundles(scale) {
         for method in Method::ALL {
             let p = partition_with(method, &bundle.graph);
             t.row(vec![
@@ -29,5 +29,6 @@ pub fn run() {
         "table2",
         "Table II — crossing properties and crossing edges (k=8)",
         &t.render(),
-    );
+    )?;
+    Ok(())
 }

@@ -6,12 +6,13 @@
 
 use crate::datasets::all_bundles;
 use crate::harness::{partition_vp, partition_with, Method};
-use crate::report::{emit, fresh, pct, Table};
+use crate::report::{emit, pct, Table};
 use mpc_cluster::classify;
 use mpc_cluster::CrossingSet;
 use mpc_core::EdgePartitioning;
 use mpc_rdf::RdfGraph;
 use mpc_sparql::Query;
+use std::io;
 
 /// VP's IEQ test without materializing an engine: all fixed properties on
 /// one site and no property variables.
@@ -32,8 +33,7 @@ fn crossing_set(g: &RdfGraph, part: &mpc_core::Partitioning) -> CrossingSet {
 }
 
 /// Regenerates Table III.
-pub fn run() {
-    fresh("table3");
+pub fn run(scale: f64) -> io::Result<()> {
     let mut t = Table::new(&[
         "Dataset",
         "#queries",
@@ -43,7 +43,7 @@ pub fn run() {
         "Subject_Hash+",
         "METIS+",
     ]);
-    for bundle in all_bundles() {
+    for bundle in all_bundles(scale) {
         let queries: Vec<&Query> = if bundle.benchmark_queries.is_empty() {
             bundle.query_log.iter().collect()
         } else {
@@ -92,5 +92,6 @@ pub fn run() {
             pct(counts[4], n),
         ]);
     }
-    emit("table3", "Table III — percentage of IEQs (k=8)", &t.render());
+    emit("table3", "Table III — percentage of IEQs (k=8)", &t.render())?;
+    Ok(())
 }

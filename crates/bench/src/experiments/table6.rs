@@ -3,12 +3,12 @@
 
 use crate::datasets::all_bundles;
 use crate::harness::{partition_vp, partition_with, Method};
-use crate::report::{emit, fresh, secs, Table};
+use crate::report::{emit, secs, Table};
 use mpc_cluster::{DistributedEngine, NetworkModel, VpEngine};
+use std::io;
 
 /// Regenerates Table VI.
-pub fn run() {
-    fresh("table6");
+pub fn run(scale: f64) -> io::Result<()> {
     let mut t = Table::new(&[
         "Dataset",
         "Method",
@@ -16,7 +16,7 @@ pub fn run() {
         "Loading(s)",
         "Total(s)",
     ]);
-    for bundle in all_bundles() {
+    for bundle in all_bundles(scale) {
         for method in Method::ALL {
             let p = partition_with(method, &bundle.graph);
             let engine =
@@ -44,5 +44,6 @@ pub fn run() {
         "table6",
         "Table VI — offline partitioning and loading time (k=8)",
         &t.render(),
-    );
+    )?;
+    Ok(())
 }

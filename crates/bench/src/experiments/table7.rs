@@ -2,21 +2,20 @@
 //! (the only dataset whose 18 properties make the exponential search
 //! feasible — same restriction as the paper).
 
-use crate::datasets::scale_factor;
 use crate::harness::K;
-use crate::report::{emit, fresh, secs, Table};
+use crate::report::{emit, secs, Table};
 use mpc_core::{MpcConfig, MpcExactPartitioner, MpcPartitioner, Partitioner};
 use mpc_datagen::lubm::{self, LubmConfig};
 use std::time::Instant;
 use mpc_rdf::narrow;
+use std::io;
 
 /// Regenerates Table VII.
-pub fn run() {
-    fresh("table7");
+pub fn run(scale: f64) -> io::Result<()> {
     // The exact search clones disjoint-set forests along the DFS, so run it
     // on a moderate LUBM instance (still hundreds of thousands of triples
     // at scale 1.0).
-    let universities = narrow::usize_from_f64(8.0 * scale_factor()).max(2);
+    let universities = narrow::usize_from_f64(8.0 * scale).max(2);
     let d = lubm::generate(&LubmConfig {
         universities,
         ..Default::default()
@@ -56,5 +55,6 @@ pub fn run() {
         "table7",
         &format!("Table VII — greedy vs exact on LUBM ({universities} universities, k={K})"),
         &t.render(),
-    );
+    )?;
+    Ok(())
 }

@@ -61,8 +61,6 @@ impl Method {
 
 /// A partitioned dataset: the partitioning plus its timing.
 pub struct Partitioned {
-    /// The method that produced it.
-    pub method: Method,
     /// The partitioning.
     pub partitioning: Partitioning,
     /// Wall time of the partitioning step (Table VI "partitioning").
@@ -74,7 +72,6 @@ pub fn partition_with(method: Method, graph: &RdfGraph) -> Partitioned {
     let t0 = Instant::now();
     let partitioning = method.partitioner().partition(graph);
     Partitioned {
-        method,
         partitioning,
         partition_time: t0.elapsed(),
     }
@@ -99,7 +96,6 @@ pub fn partition_with_traced(method: Method, graph: &RdfGraph, rec: &Recorder) -
         }
     };
     Partitioned {
-        method,
         partitioning,
         partition_time: t0.elapsed(),
     }
@@ -247,7 +243,7 @@ impl RunReport {
 
     /// Writes the pretty-printed JSON to
     /// `bench_results/<experiment>.json`, returning the path.
-    pub fn write(&self) -> std::path::PathBuf {
+    pub fn write(&self) -> std::io::Result<std::path::PathBuf> {
         crate::report::write_json(&self.experiment, &self.to_json())
     }
 }

@@ -1,12 +1,13 @@
 //! Plain-text table rendering and result persistence.
 //!
-//! Every experiment binary prints an aligned table to stdout and appends
-//! the same content to `bench_results/<experiment>.txt`, which
-//! EXPERIMENTS.md references.
+//! Every experiment prints an aligned table to stdout and appends the
+//! same content to `bench_results/<experiment>.txt`, which EXPERIMENTS.md
+//! references. The dispatcher in `main.rs` truncates that file once
+//! before the experiment runs, so a re-run replaces it.
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 
 /// A simple aligned-column table.
@@ -90,36 +91,33 @@ pub fn pct(num: usize, den: usize) -> String {
     }
 }
 
-/// Directory for experiment outputs (created on demand).
-pub fn results_dir() -> PathBuf {
+/// Directory for experiment outputs (`MPC_BENCH_OUT`, default
+/// `bench_results`), created on demand.
+pub fn results_dir() -> io::Result<PathBuf> {
     let dir = std::env::var("MPC_BENCH_OUT").unwrap_or_else(|_| "bench_results".to_owned());
     let path = PathBuf::from(dir);
-    let _ = fs::create_dir_all(&path);
-    path
+    fs::create_dir_all(&path)?;
+    Ok(path)
 }
 
 /// Prints a titled section and appends it to `bench_results/<file>.txt`.
-pub fn emit(file: &str, title: &str, body: &str) {
+pub fn emit(file: &str, title: &str, body: &str) -> io::Result<()> {
     let text = format!("== {title} ==\n{body}\n");
     print!("{text}");
-    let path = results_dir().join(format!("{file}.txt"));
-    if let Ok(mut f) = fs::OpenOptions::new().create(true).append(true).open(&path) {
-        let _ = f.write_all(text.as_bytes());
-    }
+    let path = results_dir()?.join(format!("{file}.txt"));
+    fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)?
+        .write_all(text.as_bytes())
 }
 
 /// Writes a pretty-printed JSON document to `bench_results/<file>.json`,
 /// returning the path.
-pub fn write_json(file: &str, json: &mpc_obs::Json) -> PathBuf {
-    let path = results_dir().join(format!("{file}.json"));
-    let _ = fs::write(&path, format!("{}\n", json.pretty()));
-    path
-}
-
-/// Truncates (re-starts) an experiment's output file.
-pub fn fresh(file: &str) {
-    let path = results_dir().join(format!("{file}.txt"));
-    let _ = fs::write(&path, "");
+pub fn write_json(file: &str, json: &mpc_obs::Json) -> io::Result<PathBuf> {
+    let path = results_dir()?.join(format!("{file}.json"));
+    fs::write(&path, format!("{}\n", json.pretty()))?;
+    Ok(path)
 }
 
 #[cfg(test)]

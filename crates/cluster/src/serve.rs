@@ -754,10 +754,13 @@ mod tests {
         assert_ne!(before, after);
         let (live_g, _) = serve.engine().live_dataset().unwrap();
         assert_eq!(bag(&after), bag(&reference(&live_g, &query)));
-        // And the post-commit entry serves hits again.
-        let _ = served(&serve, &g, &query, &req);
+        // And the post-commit entry serves hits again, bit-identical to
+        // the miss that filled it and to uncached serving.
+        assert_eq!(served(&serve, &g, &query, &req), after);
         assert_eq!(rec.counter("serve.cache.hit"), Some(1));
         assert_eq!(rec.counter("update.commit"), Some(1));
+        let uncached = served(&serve, &g, &query, &ExecRequest::new().cached(false));
+        assert_eq!(uncached, after);
     }
 
     #[test]

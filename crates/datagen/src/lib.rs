@@ -9,9 +9,7 @@
 //!   the four real datasets (YAGO2 / Bio2RDF / DBpedia / LGD),
 //! * [`real_queries`] — `YQ1`–`YQ4` and `BQ1`–`BQ5` analogs,
 //! * [`sampler`] — shape-mix workload sampling (the WatDiv template
-//!   instantiator / LSQ query-log stand-in),
-//! * [`operators`] — algebra-operator plan derivation (OPTIONAL / UNION /
-//!   FILTER / ORDER BY forms over the base BGP queries, docs/QUERY.md).
+//!   instantiator / LSQ query-log stand-in).
 //!
 //! Everything is seeded and deterministic.
 
@@ -19,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod lubm;
-pub mod operators;
 pub mod real_queries;
 pub mod realistic;
 pub mod sampler;
@@ -27,7 +24,6 @@ pub mod watdiv;
 
 use mpc_sparql::Query;
 
-pub use operators::{operator_plans, NamedPlan};
 pub use realistic::RealisticConfig;
 pub use sampler::{QuerySampler, Shape, ShapeMix};
 

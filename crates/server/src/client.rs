@@ -1,6 +1,7 @@
 //! The client side: a connection wrapper, a backpressure-aware request
-//! helper, and the workload replay the `mpc client` subcommand and the
-//! `serve_concurrent` bench share.
+//! helper, and the workload replay behind the `mpc client` subcommand.
+//! The repo benchmark (`benchmark/`) drives the same client in its four
+//! TCP workloads.
 
 use crate::proto::{self, fingerprint, CommitFrame, Frame, ProtoError, QueryFrame, UpdateFrame};
 use mpc_cluster::wire::decode_bindings;

@@ -12,9 +12,7 @@
 //!   worker pool sharing one engine behind its sharded result cache,
 //! * [`client`] — the client side: per-query digests and a
 //!   connection-striped replay whose output is byte-identical to a
-//!   sequential session,
-//! * [`render`] — query → SPARQL text, so generated workloads can be
-//!   driven over the wire.
+//!   sequential session.
 //!
 //! Everything is `std` — `TcpListener`/`TcpStream` plus scoped
 //! threads; the only dependencies are workspace crates.
@@ -25,7 +23,6 @@
 pub mod client;
 pub mod proto;
 pub mod queue;
-pub mod render;
 pub mod server;
 
 pub use client::{digest_result_bytes, replay, Client, ClientError, RequestOpts, ResultDigest};
@@ -33,5 +30,4 @@ pub use proto::{
     fingerprint, CommitFrame, Frame, ProtoError, QueryFrame, UpdateFrame, MAX_FRAME,
 };
 pub use queue::AdmissionQueue;
-pub use render::{render_sparql, render_sparql_raw};
 pub use server::{Server, ServerConfig, ServerSummary};

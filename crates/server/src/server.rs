@@ -18,8 +18,9 @@
 //! it, what else was queued, or how requests interleaved. That follows
 //! from [`ServeEngine::serve_plan`]'s guarantee that a cached answer is
 //! byte-identical to an uncached one, plus the
-//! deterministic `finish`/codec pipeline; the `serve_concurrent` bench
-//! and this crate's proptest check it end to end.
+//! deterministic `finish`/codec pipeline; this crate's proptest and the
+//! repo benchmark's four TCP workloads, which check every reply against
+//! an oracle, test it end to end.
 
 use crate::proto::{self, CommitFrame, Frame, ProtoError, QueryFrame, UpdateFrame};
 use crate::queue::AdmissionQueue;

@@ -408,6 +408,73 @@ mod tests {
         assert_eq!(offset.rows[0][0], vid(&g, "http://x/carol"));
     }
 
+    /// p0 chain v0→v1→v2→v3, plus one p1 edge v0→v9.
+    fn chain_graph() -> RdfGraph {
+        let mut b = GraphBuilder::new();
+        for (s, o) in [("v0", "v1"), ("v1", "v2"), ("v2", "v3")] {
+            b.add_iris(
+                &format!("http://x/{s}"),
+                "http://x/p0",
+                &format!("http://x/{o}"),
+            );
+        }
+        b.add_iris("http://x/v0", "http://x/p1", "http://x/v9");
+        b.build()
+    }
+
+    #[test]
+    fn every_operator_form_is_derived_and_evaluates() {
+        let g = chain_graph();
+        let rows = |body: &str| run(&g, &format!("PREFIX x: <http://x/> {body}")).rows;
+        // Bag union preserves duplicates; DISTINCT collapses them.
+        let union = "{ { ?s x:p0 ?o } UNION { ?s x:p0 ?o } }";
+        assert_eq!(
+            rows(&format!("SELECT ?s ?o WHERE {union}")).len(),
+            6,
+            "3 base rows, twice"
+        );
+        assert_eq!(
+            rows(&format!("SELECT DISTINCT ?s ?o WHERE {union}")).len(),
+            3
+        );
+        // ORDER BY DESC(?s) LIMIT 10: all 3 rows, subjects descending.
+        let ordered = rows("SELECT ?s ?o WHERE { ?s x:p0 ?o } ORDER BY DESC(?s) LIMIT 10");
+        let subjects: Vec<u32> = ordered.iter().map(|r| r[0]).collect();
+        let want: Vec<u32> = ["v2", "v1", "v0"]
+            .iter()
+            .map(|v| vid(&g, &format!("http://x/{v}")))
+            .collect();
+        assert_eq!(subjects, want);
+        // An OPTIONAL arm that re-probes p0: every subject has a p0 edge,
+        // so no cell goes unbound, but the arm's column exists.
+        let opt = rows("SELECT ?s ?o ?opt WHERE { ?s x:p0 ?o OPTIONAL { ?s x:p0 ?opt } }");
+        assert_eq!(opt.len(), 3);
+        for row in &opt {
+            assert_eq!(row.len(), 3);
+            assert_ne!(row[2], UNBOUND);
+        }
+        // FILTER(?s != ?o) drops nothing on a chain (s ≠ o always).
+        assert_eq!(
+            rows("SELECT ?s ?o WHERE { ?s x:p0 ?o FILTER(?s != ?o) }").len(),
+            3
+        );
+    }
+
+    #[test]
+    fn optional_cells_go_unbound_when_the_arm_misses() {
+        // Base over the p0 chain, OPTIONAL arm over p1: only v0 has a p1
+        // edge, so v1's and v2's rows keep an unbound cell.
+        let g = chain_graph();
+        let r = run(
+            &g,
+            "PREFIX x: <http://x/> SELECT ?s ?o ?opt WHERE { ?s x:p0 ?o \
+             OPTIONAL { ?s x:p1 ?opt } }",
+        );
+        assert_eq!(r.len(), 3, "left rows all survive");
+        let unbound = r.rows.iter().filter(|row| row[2] == UNBOUND).count();
+        assert_eq!(unbound, 2, "subjects v1 and v2 have no p1 edge");
+    }
+
     #[test]
     fn projection_narrows_and_reorders() {
         let g = people_graph();
