@@ -280,6 +280,11 @@ grep -q 'snapshot: loaded gen-0002' "$CI_TMP/cold.out"
 grep 'fp=' "$CI_TMP/cold.out" | sed 's/^\[[0-9]*\] //' > "$CI_TMP/cold.digests"
 cmp "$CI_TMP/live.digests" "$CI_TMP/cold.digests"
 
+echo "==> non-test lines under crates/ (scripts/nontest_loc.sh, the count LOC criteria use)"
+LOC=$(./scripts/nontest_loc.sh)
+[ "$LOC" -gt 0 ]
+echo "non-test lines: $LOC"
+
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -6,14 +6,11 @@
 #![allow(clippy::cast_possible_truncation, clippy::unwrap_used)] // bench code: ids are tiny and panicking on bad setup is fine
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpc_cluster::{
-    bloom_reduce, classify, decompose_crossing_aware, partial_evaluate, CrossingSet, Site,
-};
+use mpc_cluster::{classify, decompose_crossing_aware, partial_evaluate, CrossingSet, Site};
 use mpc_core::coarsen::coarsen;
 use mpc_core::select::{
     forward_greedy, reverse_greedy, select_internal_properties, SelectConfig, SelectStrategy,
 };
-use mpc_core::weighted::{weighted_greedy, PropertyWeights};
 use mpc_core::{MpcConfig, MpcPartitioner, Partitioner};
 use mpc_datagen::lubm::{self, LubmConfig};
 use mpc_datagen::realistic::{generate as gen_real, RealisticConfig};
@@ -94,16 +91,6 @@ fn bench_selection(c: &mut Criterion) {
     });
     group.bench_function("reverse_greedy", |b| {
         b.iter(|| black_box(reverse_greedy(&graph, &cfg(SelectStrategy::ReverseGreedy, true))))
-    });
-    let weights = PropertyWeights::uniform(graph.property_count());
-    group.bench_function("weighted_greedy", |b| {
-        b.iter(|| {
-            black_box(weighted_greedy(
-                &graph,
-                &cfg(SelectStrategy::ForwardGreedy, true),
-                &weights,
-            ))
-        })
     });
     group.finish();
 }
@@ -283,27 +270,6 @@ fn bench_distributed(c: &mut Criterion) {
     let lq9 = &queries.iter().find(|q| q.name == "LQ9").unwrap().query;
     group.bench_function("partial_evaluate_lq9", |b| {
         b.iter(|| black_box(partial_evaluate(&sites, lq9)))
-    });
-
-    // Semijoin reduction over skewed tables.
-    let mut rng = StdRng::seed_from_u64(3);
-    let make_tables = |rng: &mut StdRng| {
-        let mut big = mpc_sparql::Bindings::new(vec![0, 1]);
-        for _ in 0..20_000 {
-            big.push(vec![rng.gen_range(0..50_000), rng.gen_range(0..1000)]);
-        }
-        let mut small = mpc_sparql::Bindings::new(vec![0, 2]);
-        for _ in 0..200 {
-            small.push(vec![rng.gen_range(0..50_000), 7]);
-        }
-        vec![big, small]
-    };
-    let template = make_tables(&mut rng);
-    group.bench_function("bloom_reduce_20k", |b| {
-        b.iter(|| {
-            let mut tables = template.clone();
-            black_box(bloom_reduce(&mut tables))
-        })
     });
     group.finish();
 }

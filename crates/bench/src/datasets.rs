@@ -45,7 +45,7 @@ fn log_size(scale: f64) -> usize {
     narrow::usize_from_f64(1000.0 * scale).clamp(50, 5000)
 }
 
-/// LUBM analog (default ≈ 20 universities ≈ 170k triples).
+/// LUBM analog (default 20 universities = 40,041 triples).
 pub fn lubm_bundle(scale: f64) -> DatasetBundle {
     let universities = narrow::usize_from_f64(20.0 * scale).max(2);
     let d = lubm::generate(&LubmConfig {
@@ -76,7 +76,7 @@ pub fn lubm_at(universities: usize) -> DatasetBundle {
     }
 }
 
-/// WatDiv analog (default ≈ 4k users ≈ 120k triples) with a sampled log.
+/// WatDiv analog (default 4,000 users = 87,994 triples) with a sampled log.
 pub fn watdiv_bundle(scale: f64) -> DatasetBundle {
     let users = narrow::usize_from_f64(4000.0 * scale).max(200);
     watdiv_at(users, scale)

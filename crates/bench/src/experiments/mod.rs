@@ -8,7 +8,6 @@ pub mod fig8;
 pub mod khop;
 pub mod runreport;
 pub mod scalability;
-pub mod semijoin;
 pub mod stages;
 pub mod table2;
 pub mod table3;

@@ -91,11 +91,6 @@ const EXPERIMENTS: &[Experiment] = &[
         run: experiments::khop::run,
     },
     Experiment {
-        name: "ablation_semijoin",
-        title: "extension: Bloom-semijoin reduction",
-        run: experiments::semijoin::run,
-    },
-    Experiment {
         name: "chaos_sweep",
         title: "extension: fault-injection resilience sweep",
         run: experiments::chaos::run,

@@ -34,7 +34,6 @@ use crate::fault::{FaultKind, FaultPlan, SiteError};
 use crate::ieq::{classify, is_khop_executable, CrossingSet, IeqClass};
 use crate::network::{NetworkModel, COORDINATOR};
 use crate::retry::{RetryPolicy, SimClock};
-use crate::semijoin;
 use crate::site::{Site, SiteRequest, SiteResponse};
 use crate::stats::{ExecutionStats, FaultStats};
 use crate::wire;
@@ -255,10 +254,6 @@ pub struct DistributedEngine {
     /// Replication radius the fragments were built with (1 = the paper's
     /// 1-hop crossing-edge replication).
     pub(crate) radius: usize,
-    /// Apply Bloom-semijoin reduction before shipping decomposed subquery
-    /// results (the AdPart/WORQ-style run-time optimization; off by
-    /// default to match the paper's plain execution).
-    pub semijoin_reduction: bool,
     /// The coordinator's plan cache.
     pub(crate) plans: Mutex<FxHashMap<PlanKey, CachedPlan>>,
     /// Per-property cardinality statistics aggregated across sites at
@@ -359,7 +354,6 @@ impl DistributedEngine {
             network,
             load_time,
             radius,
-            semijoin_reduction: false,
             plans: Mutex::new(FxHashMap::default()),
             stats,
             query_seq: AtomicU64::new(0),
@@ -654,12 +648,7 @@ impl DistributedEngine {
             comm_bytes += site_bytes;
             (tables.swap_remove(0), Duration::ZERO)
         } else {
-            // A decomposed leaf ships its per-subquery unions, after the
-            // optional Bloom pass that models sites exchanging filters and
-            // pruning before they send.
-            if self.semijoin_reduction {
-                comm_bytes += self.bloom_reduce(&mut tables, rec);
-            }
+            // A decomposed leaf ships its per-subquery unions whole.
             for table in &tables {
                 comm_bytes += wire::encoded_len(table.len(), table.vars.len());
             }
@@ -839,24 +828,6 @@ impl DistributedEngine {
         }
         faults.penalty = clock.elapsed();
         (served, faults)
-    }
-
-    /// The Bloom-semijoin pass over a decomposed leaf's subquery tables;
-    /// returns the filters' wire bytes.
-    fn bloom_reduce(&self, tables: &mut [Bindings], rec: &Recorder) -> u64 {
-        let stats = semijoin::bloom_reduce(tables);
-        if rec.is_enabled() {
-            rec.add("query.semijoin.rows_before", stats.rows_before as u64);
-            rec.add("query.semijoin.rows_after", stats.rows_after as u64);
-            rec.add("query.semijoin.filter_bytes", stats.filter_bytes);
-            if stats.rows_before > 0 {
-                rec.set(
-                    "query.semijoin.kept_permille",
-                    (stats.rows_after as u64 * 1000) / stats.rows_before as u64,
-                );
-            }
-        }
-        stats.filter_bytes
     }
 }
 
@@ -1200,31 +1171,6 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_reduction_preserves_results_and_cuts_bytes() {
-        let g = dataset();
-        let part = MpcPartitioner::new(MpcConfig::with_k(2)).partition(&g);
-        let plain = DistributedEngine::build(&g, &part, NetworkModel::free());
-        let mut reduced = DistributedEngine::build(&g, &part, NetworkModel::free());
-        reduced.semijoin_reduction = true;
-        // Non-IEQ query: two internal cores joined by a crossing edge.
-        let query = q(
-            vec![
-                TriplePattern::new(v(0), prop(0), v(1)),
-                TriplePattern::new(v(1), prop(2), v(2)),
-                TriplePattern::new(v(2), prop(1), v(3)),
-            ],
-            4,
-        );
-        let (r1, s1) = exec(&plain, &query);
-        let (r2, s2) = exec(&reduced, &query);
-        assert!(!s1.independent);
-        assert_eq!(r1, r2);
-        // Reduction ships fewer row bytes; filters add a constant, so just
-        // check it never blows up and usually shrinks.
-        assert!(s2.comm_bytes <= s1.comm_bytes + 4096);
-    }
-
-    #[test]
     fn plan_cache_fills_and_reuses() {
         let g = dataset();
         let engine = mpc_engine(&g);
@@ -1278,29 +1224,6 @@ mod tests {
         // Second run over the same engine hits the plan cache.
         let _ = exec_traced(&engine, &query, &rec);
         assert_eq!(rec.counter("query.plan_cache.hits"), Some(1));
-    }
-
-    #[test]
-    fn traced_semijoin_reduction_records_ratio() {
-        let g = dataset();
-        let part = MpcPartitioner::new(MpcConfig::with_k(2)).partition(&g);
-        let mut engine = DistributedEngine::build(&g, &part, NetworkModel::free());
-        engine.semijoin_reduction = true;
-        let query = q(
-            vec![
-                TriplePattern::new(v(0), prop(0), v(1)),
-                TriplePattern::new(v(1), prop(2), v(2)),
-                TriplePattern::new(v(2), prop(1), v(3)),
-            ],
-            4,
-        );
-        let rec = Recorder::enabled();
-        let (result, _) = exec_traced(&engine, &query, &rec);
-        assert_eq!(result, reference(&g, &query));
-        let before = rec.counter("query.semijoin.rows_before").unwrap();
-        let after = rec.counter("query.semijoin.rows_after").unwrap();
-        assert!(after <= before);
-        assert!(rec.counter("query.semijoin.kept_permille").unwrap() <= 1000);
     }
 
     #[test]

@@ -28,10 +28,8 @@ pub mod fault;
 pub mod ieq;
 pub mod network;
 pub mod partial;
-pub mod bloom;
 pub mod request;
 pub mod retry;
-pub mod semijoin;
 pub mod serve;
 pub mod site;
 pub mod stats;
@@ -47,10 +45,8 @@ pub use fault::{FaultKind, FaultPlan, ScriptedFault, SiteError};
 pub use ieq::{classify, is_khop_executable, CrossingOracle, CrossingSet, IeqClass};
 pub use network::{NetworkModel, COORDINATOR};
 pub use partial::{partial_evaluate, PartialEvalStats};
-pub use bloom::BloomFilter;
 pub use request::RequestSpec;
 pub use retry::{RetryPolicy, SimClock};
-pub use semijoin::{bloom_reduce, ReductionStats};
 pub use serve::{CommitOptions, EpochTransition, ServeEngine, ShardStats};
 pub use update::{CommitError, CommitReport, UpdateBatch, UpdateOp};
 pub use site::{Site, SiteResponse};

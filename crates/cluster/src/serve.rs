@@ -161,13 +161,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
 /// Why the serving layer is moving to a new partition epoch — the
 /// argument to [`ServeEngine::transition`], the single lifecycle entry
 /// point for every epoch change that is not a data commit.
-#[derive(Default)]
 pub enum EpochTransition {
-    /// Invalidate every cached result without touching the engine — for
-    /// in-place mutations of partition-dependent engine state (e.g.
-    /// toggling semijoin reduction). Epoch advances by one.
-    #[default]
-    Invalidate,
     /// Replace the wrapped engine (a repartition). Epoch advances by
     /// one; no result computed over the old partitioning stays servable.
     Repartition(Box<DistributedEngine>),
@@ -295,16 +289,11 @@ impl ServeEngine {
                 self.epoch.store(generation, Ordering::Release);
                 generation
             }
-            EpochTransition::Invalidate => {
-                // ordering: AcqRel — the release half publishes the
-                // in-place engine mutations that motivated the bump; the
-                // acquire half orders the bump against later cache fills.
-                self.epoch.fetch_add(1, Ordering::AcqRel) + 1
-            }
             EpochTransition::Repartition(inner) => {
                 self.inner = *inner;
-                // ordering: AcqRel, as for `Invalidate` — publishes the
-                // engine replacement.
+                // ordering: AcqRel — the release half publishes the
+                // engine replacement; the acquire half orders the bump
+                // against later cache fills.
                 self.epoch.fetch_add(1, Ordering::AcqRel) + 1
             }
         }

@@ -33,7 +33,6 @@ pub mod mpc;
 pub mod partitioning;
 pub mod select;
 pub mod validate;
-pub mod weighted;
 
 pub use baselines::{MinEdgeCutPartitioner, SubjectHashPartitioner, VerticalPartitioner};
 pub use dynamic::IncrementalPartitioning;
@@ -45,7 +44,6 @@ pub use mpc_metis::MetisConfig;
 pub use partitioning::{EdgePartitioning, Fragment, Partitioning};
 pub use select::{SelectConfig, SelectStats, SelectStrategy, Selection};
 pub use validate::{validate_partitioning, validate_selection, InvariantViolation};
-pub use weighted::{weighted_greedy, PropertyWeights};
 
 use mpc_rdf::RdfGraph;
 

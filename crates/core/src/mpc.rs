@@ -2,7 +2,7 @@
 
 use crate::coarsen::{coarsen, uncoarsen};
 use crate::partitioning::Partitioning;
-use crate::select::{select_internal_properties, SelectConfig, SelectStrategy, Selection};
+use crate::select::{select_internal_properties, SelectConfig, SelectStrategy};
 use crate::Partitioner;
 use mpc_metis::MetisConfig;
 use mpc_obs::Recorder;
@@ -25,10 +25,6 @@ pub struct MpcConfig {
     pub reverse_threshold: usize,
     /// Settings of the coarse-graph partitioner.
     pub metis: MetisConfig,
-    /// Optional workload weights: when set, internal property selection
-    /// maximizes total weight instead of count (the weighted-MPC extension
-    /// the paper defers to future work).
-    pub weights: Option<crate::weighted::PropertyWeights>,
     /// Worker threads for the selection stage's candidate cost
     /// evaluation. `None` / `Some(0)` resolve via `MPC_THREADS`, then the
     /// machine; the result is bit-identical for every value
@@ -45,7 +41,6 @@ impl Default for MpcConfig {
             prune_oversized: true,
             reverse_threshold: 512,
             metis: MetisConfig::default(),
-            weights: None,
             threads: None,
         }
     }
@@ -125,10 +120,7 @@ impl MpcPartitioner {
     pub fn partition_traced(&self, g: &RdfGraph, rec: &Recorder) -> (Partitioning, MpcReport) {
         let cfg = &self.config;
         let select_span = rec.span("partition.select");
-        let mut selection: Selection = match &cfg.weights {
-            Some(w) => crate::weighted::weighted_greedy(g, &cfg.select_config(), w),
-            None => select_internal_properties(g, &cfg.select_config()),
-        };
+        let mut selection = select_internal_properties(g, &cfg.select_config());
         let selection_time = select_span.finish();
         debug_assert_stage("select", crate::validate::validate_selection(g, &selection));
         rec.set("partition.select.internal", selection.internal_count() as u64);

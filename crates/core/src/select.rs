@@ -142,10 +142,10 @@ impl SelectConfig {
 /// partition_traced`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SelectStats {
-    /// Greedy rounds that changed `L_in`: admissions in the forward and
-    /// weighted directions, removals in reverse.
+    /// Greedy rounds that changed `L_in`: admissions in the forward
+    /// direction, removals in reverse.
     pub rounds: u64,
-    /// Priority-queue pops in the lazy-evaluation directions (zero for
+    /// Priority-queue pops in forward greedy's lazy evaluation (zero for
     /// reverse greedy, which has no queue).
     pub heap_pops: u64,
     /// Popped keys whose cost had grown and were re-pushed instead of
