@@ -268,12 +268,16 @@ cat "$CI_TMP/upd.txt" "$CI_TMP/updq.txt" > "$CI_TMP/updfull.txt"
 "$MPC" serve --input "$CI_TMP/lubm.nt" --partitions "$CI_TMP/lubm.parts" \
     --queries "$CI_TMP/updfull.txt" --digest \
     | grep 'fp=' | tail -2 | sed 's/^\[[0-9]*\] //' > "$CI_TMP/live.digests"
+# Each update writes to a file first, so `set -e` sees mpc's own exit
+# status (a pipeline reports only its last command's).
 "$MPC" update --input "$CI_TMP/lubm.nt" --partitions "$CI_TMP/lubm.parts" \
     --text 'INSERT DATA { <urn:n:a> <urn:q:live> <urn:n:b> . <urn:n:b> <urn:q:live> <urn:n:c> }' \
-    --save "$CI_TMP/updstore" | grep -q '^committed: +2 -0'
+    --save "$CI_TMP/updstore" > "$CI_TMP/upd1.out"
+grep -q '^committed: +2 -0' "$CI_TMP/upd1.out"
 "$MPC" update --load "$CI_TMP/updstore" \
     --text 'DELETE DATA { <urn:n:b> <urn:q:live> <urn:n:c> }' \
-    --save "$CI_TMP/updstore" | grep -q '^committed: +0 -1'
+    --save "$CI_TMP/updstore" > "$CI_TMP/upd2.out"
+grep -q '^committed: +0 -1' "$CI_TMP/upd2.out"
 "$MPC" serve --load "$CI_TMP/updstore" --queries "$CI_TMP/updq.txt" --digest \
     > "$CI_TMP/cold.out"
 grep -q 'snapshot: loaded gen-0002' "$CI_TMP/cold.out"

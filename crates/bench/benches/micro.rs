@@ -19,9 +19,9 @@ use mpc_datagen::{QuerySampler, Shape};
 use mpc_dsu::DisjointSetForest;
 use mpc_metis::bisect::bisect;
 use mpc_metis::{fm_refine, partition, MetisConfig, WeightedGraph};
-use mpc_rdf::{Dictionary, Term, VertexId};
+use mpc_rdf::{Dictionary, PropertyId, Term, VertexId};
 use mpc_sparql::{
-    evaluate, evaluate_observed, evaluate_with, static_order, LocalStore, MatchStats,
+    evaluate, evaluate_observed, evaluate_with, static_order, LocalStore, MatchStats, Pattern,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,6 +191,50 @@ fn bench_matcher(c: &mut Criterion) {
     group.finish();
 }
 
+/// A fixed list of bound-(subject, property) probes against one LUBM-32
+/// store, the access path the matcher's joins and the commit path's
+/// statistics take: half are (s, p) pairs the store holds, half pair a
+/// random subject id with a random property (mostly misses).
+fn bench_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store");
+    let d = lubm::generate(&LubmConfig {
+        universities: 32,
+        ..Default::default()
+    });
+    let store = LocalStore::from_graph(&d.graph);
+    let triples = store.triples();
+    let max_s = triples.last().map_or(0, |t| t.s.0);
+    let max_p = triples.iter().map(|t| t.p.0).max().unwrap_or(0);
+    let mut rng = StdRng::seed_from_u64(1);
+    let probes: Vec<Pattern> = (0..4096)
+        .map(|i| {
+            let (s, p) = if i % 2 == 0 {
+                let t = triples[rng.gen_range(0..triples.len())];
+                (t.s, t.p)
+            } else {
+                (
+                    VertexId(rng.gen_range(0..=max_s)),
+                    PropertyId(rng.gen_range(0..=max_p)),
+                )
+            };
+            Pattern {
+                s: Some(s),
+                p: Some(p),
+                o: None,
+            }
+        })
+        .collect();
+    group.bench_function("subject_probe", |b| {
+        b.iter(|| {
+            probes
+                .iter()
+                .map(|pat| store.count(black_box(pat)))
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
 /// The observability acceptance gate: the matcher hot loop with the no-op
 /// `()` observer must cost the same as the plain `evaluate` (the observer
 /// is monomorphized away), and the counting observer's overhead should
@@ -350,6 +394,7 @@ criterion_group! {
         bench_metis,
         bench_fm_refine,
         bench_matcher,
+        bench_store,
         bench_obs_overhead,
         bench_planning,
         bench_distributed,

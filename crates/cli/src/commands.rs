@@ -3,9 +3,9 @@
 use crate::args::Options;
 use crate::{partfile, CliError};
 use mpc_cluster::{
-    classify as classify_query, CommitOptions, CrossingSet, DistributedEngine, EpochTransition,
-    ExecMode, ExecRequest, FaultPlan, FaultSpec, NetworkModel, RequestSpec, RetryPolicy,
-    ServeEngine, UpdateBatch,
+    classify as classify_query, CommitOptions, CommitReport, CrossingSet, DistributedEngine,
+    EpochTransition, ExecMode, ExecRequest, FaultPlan, FaultSpec, NetworkModel, RequestSpec,
+    RetryPolicy, ServeEngine, UpdateBatch,
 };
 use mpc_core::{
     MetisConfig, MinEdgeCutPartitioner, MpcConfig, MpcPartitioner, Partitioner,
@@ -936,6 +936,22 @@ pub fn update(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let report = server
         .commit(&batch, &copts, &rec)
         .map_err(|e| CliError::new(format!("commit failed: {e}")))?;
+    // The update is durable from here on. A reader that stops listening
+    // early (`mpc update … | grep -q`) must not turn it into a failed exit.
+    let profile = o.flag("profile").then_some(&rec);
+    match write_commit_report(out, &report, o.get("save"), profile) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        written => Ok(written?),
+    }
+}
+
+/// The report lines `mpc update` prints after a successful commit.
+fn write_commit_report(
+    out: &mut dyn Write,
+    report: &CommitReport,
+    save: Option<&str>,
+    profile: Option<&Recorder>,
+) -> std::io::Result<()> {
     writeln!(
         out,
         "committed: +{} -{} noops={} new_vertices={} new_properties={} \
@@ -953,10 +969,10 @@ pub fn update(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(
             out,
             "snapshot: saved gen-{generation:04} to {}",
-            o.get("save").unwrap_or_default()
+            save.unwrap_or_default()
         )?;
     }
-    if rec.is_enabled() && o.flag("profile") {
+    if let Some(rec) = profile {
         writeln!(out, "\nprofile:")?;
         write!(out, "{}", rec.report().to_text())?;
     }

@@ -279,3 +279,60 @@ fn chaos_query_reports_deterministically() {
     .contains("--strict only applies"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A pipe whose reader exits after the first line, as `grep -q` does on
+/// its first match: every later write fails with `BrokenPipe`.
+struct ClosesAfterFirstLine {
+    got: Vec<u8>,
+}
+
+impl std::io::Write for ClosesAfterFirstLine {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.got.contains(&b'\n') {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        self.got.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn update_succeeds_when_the_reader_closes_after_the_commit_line() {
+    let dir = temp_dir("update-pipe");
+    let data = dir.join("lubm.nt");
+    let parts = dir.join("lubm.parts");
+    let snap = dir.join("snap");
+    run(&["generate", "--dataset", "lubm", "--scale", "0.1", "--out", data.to_str().unwrap()])
+        .unwrap();
+    run(&[
+        "partition", "--input", data.to_str().unwrap(), "--out",
+        parts.to_str().unwrap(), "--method", "mpc", "--k", "2",
+    ])
+    .unwrap();
+    // With --save the report has a second line, which the closed pipe
+    // refuses after the commit and the snapshot have succeeded.
+    let args: Vec<String> = [
+        "update", "--input", data.to_str().unwrap(), "--partitions",
+        parts.to_str().unwrap(), "--text", "INSERT DATA { <urn:n:a> <urn:q:live> <urn:n:b> }",
+        "--save", snap.to_str().unwrap(),
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let mut pipe = ClosesAfterFirstLine { got: Vec::new() };
+    let result = mpc_cli::run(&args, &mut pipe).map_err(|e| e.message);
+    assert_eq!(result, Ok(()));
+    let got = String::from_utf8(pipe.got).unwrap();
+    assert!(got.starts_with("committed: +1 -0"), "{got}");
+    // The saved generation holds the triple, so deleting it commits.
+    let out = run(&[
+        "update", "--load", snap.to_str().unwrap(), "--text",
+        "DELETE DATA { <urn:n:a> <urn:q:live> <urn:n:b> }",
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(out.unwrap().contains("committed: +0 -1"));
+}

@@ -226,6 +226,35 @@ mod tests {
         assert_eq!(total_internal, g.triple_count() + part.crossing_edge_count());
     }
 
+    /// The subject directory over a LUBM site fragment (global ids,
+    /// k = 8) stays within a tenth of the bytes of the store's three runs.
+    #[test]
+    fn subject_directory_is_small_against_the_runs() {
+        use mpc_core::{MpcConfig, MpcPartitioner};
+        use mpc_datagen::lubm::{self, LubmConfig};
+        let d = lubm::generate(&LubmConfig {
+            universities: 32,
+            ..Default::default()
+        });
+        let part = MpcPartitioner::new(MpcConfig::with_k(8)).partition(&d.graph);
+        for frag in part.fragments(&d.graph) {
+            let mut triples = frag.triples;
+            triples.sort_unstable();
+            triples.dedup();
+            triples.shrink_to_fit();
+            let store = LocalStore::new(triples);
+            // Exact-capacity runs: the rest of the heap is the directory.
+            let runs = 3 * store.len() * std::mem::size_of::<Triple>();
+            let directory = store.heap_bytes() - runs;
+            assert!(directory > 0, "site {:?} built no directory", frag.part);
+            assert!(
+                directory * 10 <= runs,
+                "site {:?}: directory {directory} B against runs {runs} B",
+                frag.part
+            );
+        }
+    }
+
     #[test]
     fn respond_ships_tables_charged_at_wire_size() {
         let site = one_site();

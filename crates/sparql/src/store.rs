@@ -2,9 +2,12 @@
 //!
 //! Each partition site holds one [`LocalStore`] over its fragment. Three
 //! materialized sorted runs of the triples themselves (SPO, POS, OSP)
-//! answer every triple-pattern access path by binary search plus a
-//! contiguous slice, the standard layout of centralized RDF engines
-//! (RDF-3X, gStore's VS-tree plays the same role).
+//! answer every triple-pattern access path by a contiguous slice, the
+//! standard layout of centralized RDF engines (RDF-3X, gStore's VS-tree
+//! plays the same role). A bound subject finds its slice of the base SPO
+//! run through a subject rank directory in a few reads, the way gStore
+//! reaches a vertex's edges directly; every other prefix is narrowed by
+//! binary search.
 
 use mpc_rdf::{FxHashMap, PropertyId, RdfGraph, Triple, VertexId};
 use mpc_rdf::narrow;
@@ -96,6 +99,89 @@ struct Runs {
     pos: Vec<Triple>,
     /// The same triples sorted by (o, s, p).
     osp: Vec<Triple>,
+    /// Where each subject's slice of `spo` starts. Only the base has one
+    /// (built by [`LocalStore::from_runs`]); the novelty, which `insert`
+    /// and `remove` mutate, finds subjects by binary search.
+    subjects: Option<SubjectIndex>,
+}
+
+/// A rank directory over the subjects of a strictly (s, p, o)-sorted run:
+/// one presence bit per subject id, grouped in 64-id words that each carry
+/// the number of present subjects below them, and the run offset of each
+/// present subject in rank order. A subject's slice is then a bit test, a
+/// popcount and two reads of `starts`, with no search.
+///
+/// Costs 16 bytes per 64 ids up to the largest subject plus 4 bytes per
+/// distinct subject; [`SubjectIndex::build`] declines when the words alone
+/// would outnumber the triples (ids sparser than one word per triple).
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct SubjectIndex {
+    /// Per 64 subject ids from 0: the presence bitmap and the number of
+    /// present subjects in all earlier words.
+    words: Vec<RankWord>,
+    /// The first run offset of each present subject, by rank, plus the
+    /// run length as a sentinel.
+    starts: Vec<u32>,
+}
+
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct RankWord {
+    bits: u64,
+    before: u32,
+}
+
+impl SubjectIndex {
+    /// The directory of `spo`, or `None` when it would outgrow the run
+    /// (an empty run, or more 64-id words than triples) or its offsets
+    /// would not fit in `u32`.
+    fn build(spo: &[Triple]) -> Option<SubjectIndex> {
+        let last = spo.last()?.s.0 as usize;
+        let n_words = last / 64 + 1;
+        let sentinel = u32::try_from(spo.len()).ok()?;
+        if n_words > spo.len() {
+            return None;
+        }
+        let mut words = vec![RankWord::default(); n_words];
+        let mut starts = Vec::new();
+        let mut prev = None;
+        for (at, t) in spo.iter().enumerate() {
+            if prev != Some(t.s) {
+                prev = Some(t.s);
+                let s = t.s.0 as usize;
+                words[s / 64].bits |= 1u64 << (s % 64);
+                starts.push(narrow::u32_from(at));
+            }
+        }
+        starts.push(sentinel);
+        starts.shrink_to_fit();
+        let mut before = 0u32;
+        for w in &mut words {
+            w.before = before;
+            before += w.bits.count_ones();
+        }
+        Some(SubjectIndex { words, starts })
+    }
+
+    /// The slice of `spo` (the run this directory was built over) whose
+    /// triples have subject `s`; empty if there are none.
+    #[inline]
+    fn slice<'a>(&self, spo: &'a [Triple], s: VertexId) -> &'a [Triple] {
+        let s = s.0 as usize;
+        let Some(w) = self.words.get(s / 64) else {
+            return &[];
+        };
+        let bit = 1u64 << (s % 64);
+        if w.bits & bit == 0 {
+            return &[];
+        }
+        let rank = w.before as usize + (w.bits & (bit - 1)).count_ones() as usize;
+        &spo[self.starts[rank] as usize..self.starts[rank + 1] as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<RankWord>()
+            + self.starts.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 fn pos_key(t: &Triple) -> (PropertyId, VertexId, VertexId) {
@@ -114,21 +200,40 @@ impl Runs {
         pos.sort_unstable_by_key(pos_key);
         let mut osp = spo.clone();
         osp.sort_unstable_by_key(osp_key);
-        Runs { spo, pos, osp }
+        Runs {
+            spo,
+            pos,
+            osp,
+            subjects: None,
+        }
+    }
+
+    /// The triples with subject `s`: through the directory if there is
+    /// one, else by binary search of the whole SPO run.
+    #[inline]
+    fn subject(&self, s: VertexId) -> &[Triple] {
+        match &self.subjects {
+            Some(dir) => dir.slice(&self.spo, s),
+            None => range_of(&self.spo, |t| t.s.cmp(&s)),
+        }
+    }
+
+    /// True if the run holds `t`.
+    fn contains(&self, t: &Triple) -> bool {
+        self.subject(t.s).binary_search(t).is_ok()
     }
 
     /// The triples matching a pattern: the run whose sort order has the
-    /// bound positions as a prefix, narrowed by binary search. Every
-    /// access path is fully covered, so no residual filtering is needed.
+    /// bound positions as a prefix, narrowed by binary search (a bound
+    /// subject first takes its own slice of SPO). Every access path is
+    /// fully covered, so no residual filtering is needed.
     fn select(&self, pat: &Pattern) -> &[Triple] {
         match (pat.s, pat.p, pat.o) {
             (None, None, None) => &self.spo,
             // Prefixes of SPO.
-            (Some(s), None, None) => range_of(&self.spo, |t| t.s.cmp(&s)),
-            (Some(s), Some(p), None) => range_of(&self.spo, |t| (t.s, t.p).cmp(&(s, p))),
-            (Some(s), Some(p), Some(o)) => {
-                range_of(&self.spo, |t| (t.s, t.p, t.o).cmp(&(s, p, o)))
-            }
+            (Some(s), None, None) => self.subject(s),
+            (Some(s), Some(p), None) => range_of(self.subject(s), |t| t.p.cmp(&p)),
+            (Some(s), Some(p), Some(o)) => range_of(self.subject(s), |t| (t.p, t.o).cmp(&(p, o))),
             // Prefixes of POS.
             (None, Some(p), None) => range_of(&self.pos, |t| t.p.cmp(&p)),
             (None, Some(p), Some(o)) => range_of(&self.pos, |t| (t.p, t.o).cmp(&(p, o))),
@@ -149,13 +254,21 @@ impl Runs {
             .collect()
     }
 
+    fn heap_bytes(&self) -> usize {
+        (self.spo.capacity() + self.pos.capacity() + self.osp.capacity())
+            * std::mem::size_of::<Triple>()
+            + self.subjects.as_ref().map_or(0, SubjectIndex::heap_bytes)
+    }
+
     fn insert(&mut self, t: Triple) {
+        debug_assert!(self.subjects.is_none(), "an indexed run is immutable");
         sorted_insert(&mut self.spo, t, |x| *x);
         sorted_insert(&mut self.pos, t, pos_key);
         sorted_insert(&mut self.osp, t, osp_key);
     }
 
     fn remove(&mut self, t: Triple) {
+        debug_assert!(self.subjects.is_none(), "an indexed run is immutable");
         sorted_remove(&mut self.spo, t, |x| *x);
         sorted_remove(&mut self.pos, t, pos_key);
         sorted_remove(&mut self.osp, t, osp_key);
@@ -322,7 +435,8 @@ impl LocalStore {
         Self::from_runs(Runs::from_spo(triples))
     }
 
-    fn from_runs(base: Runs) -> Self {
+    fn from_runs(mut base: Runs) -> Self {
+        base.subjects = SubjectIndex::build(&base.spo);
         let stats = StoreStats::compute(&base.spo, &base.pos);
         LocalStore {
             base,
@@ -393,6 +507,7 @@ impl LocalStore {
             spo: triples,
             pos,
             osp,
+            subjects: None,
         }))
     }
 
@@ -432,8 +547,16 @@ impl LocalStore {
         &self.stats
     }
 
+    /// Heap bytes held by the store's runs, subject directory and
+    /// overlay, summed from allocation capacities.
+    pub fn heap_bytes(&self) -> usize {
+        self.base.heap_bytes()
+            + self.overlay.novelty.heap_bytes()
+            + self.overlay.tombstones.capacity() * std::mem::size_of::<Triple>()
+    }
+
     /// Number of triples matching a pattern — the matcher's selectivity
-    /// estimate. Costs one range search on the base run plus one on the
+    /// estimate. Costs one range lookup on the base run plus one on the
     /// novelty (and a tombstone sweep only while deletes are staged).
     pub fn count(&self, pat: &Pattern) -> usize {
         let dead = if self.overlay.tombstones.is_empty() {
@@ -481,11 +604,10 @@ impl LocalStore {
 
     /// True if the store currently holds `t` (overlay included).
     pub fn contains(&self, t: Triple) -> bool {
-        if self.overlay.novelty.spo.binary_search(&t).is_ok() {
+        if self.overlay.novelty.contains(&t) {
             return true;
         }
-        self.base.spo.binary_search(&t).is_ok()
-            && self.overlay.tombstones.binary_search(&t).is_err()
+        self.base.contains(&t) && self.overlay.tombstones.binary_search(&t).is_err()
     }
 
     /// Stages one triple in the novelty overlay. Returns `true` if the
@@ -509,14 +631,12 @@ impl LocalStore {
     /// get a tombstone. Returns `true` if the store changed (deleting an
     /// absent triple is a no-op).
     pub fn delete(&mut self, t: Triple) -> bool {
-        if self.overlay.novelty.spo.binary_search(&t).is_ok() {
+        if self.overlay.novelty.contains(&t) {
             self.stats_remove(t);
             self.overlay.novelty.remove(t);
             return true;
         }
-        if self.base.spo.binary_search(&t).is_ok()
-            && self.overlay.tombstones.binary_search(&t).is_err()
-        {
+        if self.base.contains(&t) && self.overlay.tombstones.binary_search(&t).is_err() {
             self.stats_remove(t);
             sorted_insert(&mut self.overlay.tombstones, t, |x| *x);
             return true;
@@ -761,6 +881,8 @@ mod tests {
         assert_eq!(rebuilt.pos_permutation(), fresh.pos_permutation());
         assert_eq!(rebuilt.osp_permutation(), fresh.osp_permutation());
         assert_eq!(rebuilt.stats(), fresh.stats());
+        assert!(fresh.base.subjects.is_some());
+        assert_eq!(rebuilt.base.subjects, fresh.base.subjects);
         let pat = Pattern {
             p: Some(PropertyId(0)),
             ..Pattern::default()
@@ -803,6 +925,21 @@ mod tests {
         let mut repeated = osp.clone();
         repeated[1] = repeated[0];
         assert!(LocalStore::from_sorted_parts(triples, pos, repeated).is_err());
+    }
+
+    #[test]
+    fn subjects_near_the_id_limit_get_no_id_sized_directory() {
+        let s = LocalStore::new(vec![t(5, 1, 1), t(u32::MAX - 1, 0, 2), t(u32::MAX, 0, 1)]);
+        assert!(s.base.subjects.is_none());
+        // Three runs of three triples, and nothing else.
+        assert_eq!(s.heap_bytes(), 9 * std::mem::size_of::<Triple>());
+        let by_subject = |id| Pattern {
+            s: Some(VertexId(id)),
+            ..Pattern::default()
+        };
+        assert_eq!(s.count(&by_subject(u32::MAX)), 1);
+        assert_eq!(s.count(&by_subject(u32::MAX - 2)), 0);
+        assert!(s.contains(t(u32::MAX, 0, 1)));
     }
 
     #[test]
@@ -887,6 +1024,7 @@ mod tests {
         assert_eq!(s.pos_permutation(), fresh.pos_permutation());
         assert_eq!(s.osp_permutation(), fresh.osp_permutation());
         assert_eq!(s.stats(), fresh.stats());
+        assert_eq!(s.base.subjects, fresh.base.subjects);
     }
 }
 
@@ -913,6 +1051,49 @@ pub(crate) mod proptests {
                 s: s.map(VertexId),
                 p: p.map(PropertyId),
                 o: o.map(VertexId),
+            })
+    }
+
+    /// Subject ids from the whole `u32` range: low ids, where the subject
+    /// directory is built and spans a few words, and ids up to
+    /// `u32::MAX`, where its words would outgrow the run.
+    fn wide_subject() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            0u32..200,
+            0u32..1 << 24,
+            u32::MAX - 200..=u32::MAX,
+            any::<u32>()
+        ]
+    }
+
+    /// A store over at most four subjects drawn by [`wide_subject`]
+    /// (empty and single-subject stores come up often), and a pattern
+    /// whose subject, when bound, is one of them or another wide id.
+    fn wide_store_strategy() -> impl Strategy<Value = (Vec<Triple>, Pattern)> {
+        (
+            proptest::collection::vec(wide_subject(), 0..5),
+            proptest::collection::vec((0usize..4, 0u32..3, 0u32..6), 0..40),
+            (0usize..6, wide_subject()),
+            (proptest::option::of(0u32..3), proptest::option::of(0u32..6)),
+        )
+            .prop_map(|(subjects, picks, (pick, other), (p, o))| {
+                let triples = picks
+                    .into_iter()
+                    .filter_map(|(i, p, o)| {
+                        let s = *subjects.get(i)?;
+                        Some(Triple::new(VertexId(s), PropertyId(p), VertexId(o)))
+                    })
+                    .collect();
+                let s = match pick {
+                    5 => None,
+                    i => Some(subjects.get(i).copied().unwrap_or(other)),
+                };
+                let pat = Pattern {
+                    s: s.map(VertexId),
+                    p: p.map(PropertyId),
+                    o: o.map(VertexId),
+                };
+                (triples, pat)
             })
     }
 
@@ -947,6 +1128,46 @@ pub(crate) mod proptests {
             let mut got: Vec<Triple> = store.scan(&pat).collect();
             got.sort_unstable();
             prop_assert_eq!(got, expected);
+        }
+
+        /// At any spread of subject ids, with or without a subject
+        /// directory, `scan`, `count`, `contains` and the free-object
+        /// cursor answer exactly the brute-force filter; a directory that
+        /// is built never has more words than the run has triples.
+        #[test]
+        fn wide_subject_ids_answer_exactly((triples, pat) in wide_store_strategy()) {
+            let store = LocalStore::new(triples.clone());
+            let mut all = triples;
+            all.sort_unstable();
+            all.dedup();
+            if let Some(dir) = &store.base.subjects {
+                prop_assert!(dir.words.len() <= all.len());
+            }
+            let want: Vec<Triple> = all.iter().copied().filter(|t| pat.matches(t)).collect();
+            let mut got: Vec<Triple> = store.scan(&pat).collect();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(store.count(&pat), want.len());
+            for &t in &all {
+                prop_assert!(store.contains(t));
+            }
+            if let (Some(s), Some(p)) = (pat.s, pat.p) {
+                for o in 0..6 {
+                    let t = Triple::new(s, p, VertexId(o));
+                    prop_assert_eq!(store.contains(t), all.contains(&t));
+                }
+                let free_o = Pattern { o: None, ..pat };
+                let want: Vec<u32> =
+                    all.iter().filter(|t| free_o.matches(t)).map(|t| t.o.0).collect();
+                let mut walked = Vec::new();
+                let mut cursor = store.cursor(&free_o);
+                let mut target = 0;
+                while let Some(v) = cursor.seek(target) {
+                    walked.push(v);
+                    target = v + 1;
+                }
+                prop_assert_eq!(walked, want);
+            }
         }
 
         /// Build-time statistics agree with brute-force recounting.
@@ -1055,6 +1276,7 @@ pub(crate) mod proptests {
                 prop_assert!(store.contains(t));
             }
             store.compact();
+            prop_assert_eq!(&store.base.subjects, &fresh.base.subjects);
             prop_assert_eq!(store.triples(), fresh.triples());
             prop_assert_eq!(store.pos_permutation(), fresh.pos_permutation());
             prop_assert_eq!(store.osp_permutation(), fresh.osp_permutation());
